@@ -4,7 +4,7 @@ The monitor is the user-space page fault handler: it sleeps on the
 userfaultfd event queue, resolves each fault, and manages the global
 LRU buffer that bounds how many pages all registered VMs keep in local
 DRAM.  This module is the heart of the reproduction — every arrow in
-the paper's Figure 2 corresponds to a step in :meth:`Monitor._handle_fault`:
+the paper's Figure 2 corresponds to a step in :meth:`Monitor._service_fault`:
 
 1. guest halts on a missing page          (vCPU blocks on the fault event)
 2. kernel fault handler                   (:class:`~repro.kernel.Userfaultfd`)
@@ -32,7 +32,6 @@ from ..errors import (
     MonitorStateError,
     StoreUnavailableError,
     TransientStoreError,
-    UffdError,
 )
 from ..faults.retry import retry_call
 from ..kernel import UffdFault, UffdOps, UffdRegion, Userfaultfd
@@ -42,7 +41,6 @@ from ..obs import NULL_OBS, Observability
 from ..policy.prefetch import resolve_prefetcher
 from ..policy.registry import make_alloc_policy, validate_policy_names
 from ..sim import Environment, LatencyRecorder, Resource
-from ..sim import core as _simcore
 from ..vm import QemuProcess
 from .config import FluidMemConfig
 from .lru_buffer import LruBuffer
@@ -156,17 +154,10 @@ class Monitor:
         self.fault_latency = LatencyRecorder(
             f"{name}.fault", max_samples=500_000
         )
-        #: Which handler resolved each in-flight fault (obs label);
-        #: keyed by the fault so concurrent handlers never clobber
-        #: each other's classification.  The flat burst path
-        #: (:meth:`_service_fault_fast`) classifies with a local
-        #: variable instead — no per-fault dict churn.
-        self._fault_paths: Dict[UffdFault, str] = {}
         # Lazily cached bound observers + epilogue histograms for the
-        # flat burst path.  Each is created at its first actual record,
-        # matching the granular path's registry-creation points exactly
-        # (eager creation would change the --metrics instrument set and
-        # break the batch-equivalence pins, DESIGN.md §17).
+        # fault path.  Each is created at its first actual record
+        # (eager creation would add empty instruments to the --metrics
+        # document, DESIGN.md §17).
         self._ob_dispatch = None
         self._ob_lookup = None
         self._ob_insert_hash = None
@@ -264,21 +255,13 @@ class Monitor:
         # while a previous fault was being serviced), the guarded
         # ``try_get_batch`` consumes the next event with zero heap
         # traffic; each fault is still serviced one at a time, in the
-        # exact order the granular rendezvous would have produced.
+        # exact order the event rendezvous would have produced.
         events = self.uffd.events
-        env = self.env
         while self._running:
             fault = events.try_get_batch() if events.items else None
             if fault is None:
                 fault = yield events.get()
-            if (
-                _simcore.FASTPATH_ON
-                and _simcore.BATCH_ON
-                and env.scheduler is None
-            ):
-                yield from self._service_fault_fast(fault)
-            else:
-                yield from self._service_fault(fault)
+            yield from self._service_fault(fault)
 
     def _run_concurrent(self) -> Generator:
         """Lightweight-threaded handlers (arXiv 2107.13848): the
@@ -303,78 +286,32 @@ class Monitor:
         finally:
             self._handler_slots.release(token)
 
-    def _service_fault(self, fault: UffdFault) -> Generator:
-        start = self.env.now
-        try:
-            yield from self._handle_fault(fault)
-        except StoreUnavailableError as exc:
-            # Graceful degradation: the faulting vCPU gets the
-            # error (fail fast, no hang) while the monitor keeps
-            # serving the other VMs' faults.
-            self._fault_paths.pop(fault, None)
-            self.counters.incr("faults_failed_unavailable")
-            if self._obs_on:
-                self.obs.tracer.instant(
-                    "fault_failed", self.env.now, cat="fault",
-                    track=self.name, addr=f"{fault.addr:#x}",
-                    error=type(exc).__name__,
-                )
-            if fault.resolved.callbacks is not None:
-                fault.resolved._defused = True  # may have no waiter
-                fault.resolved.fail(exc)
-            return
-        except BaseException:
-            # A handler raising mid-flight (KeyNotFound escalation,
-            # invariant violation, interrupt) must not leak the
-            # fault's path-label entry.
-            self._fault_paths.pop(fault, None)
-            raise
-        latency = self.env.now - start
-        self.fault_latency.record(latency)
-        path = self._fault_paths.pop(fault, None)
-        if self._obs_on:
-            path = path or "unclassified"
-            registry = self.obs.registry
-            registry.histogram(
-                "fault_latency_us", vm=self.name
-            ).observe(latency)
-            registry.histogram(
-                "path_latency_us", path=path, vm=self.name
-            ).observe(latency)
-            self.obs.tracer.complete(
-                "fault", start, latency, cat="fault",
-                track=self.name, path=path, addr=f"{fault.addr:#x}",
-            )
-        self.writeback.check_stale()
-
     def _mk_observer(self, attr: str, path: CodePath):
         """Create + cache the bound observer for one code path."""
         observe = self.profiler.observer(path)
         setattr(self, attr, observe)
         return observe
 
-    def _service_fault_fast(self, fault: UffdFault) -> Generator:
-        """Flat burst-resolution fault service (DESIGN.md §17).
+    def _service_fault(self, fault: UffdFault) -> Generator:
+        """Resolve one fault: the monitor's only fault-service body.
 
-        A byte-equivalent inlining of :meth:`_service_fault` →
-        :meth:`_handle_fault` → the spurious / zero-fill / async-read
-        resolution paths: the same RNG draws in the same order from the
-        same streams, the same heap interactions, the same counter,
-        check, and metrics effects.  What changes is interpreter
-        overhead — no nested generator chain, cached bound observers,
-        no per-fault path-label dict churn — and, while the batch
-        window is open (empty heap, no run-until cap: nothing can
-        interleave), the pre-wake critical path settles as ONE clock
-        commit built by in-order accumulation instead of per-charge
-        advances.  Rare branches fall back to the granular helpers
-        before any divergence has happened.
+        The serial loop, every ``fault_handlers > 1`` coroutine and
+        runs under a ``SchedulePolicy`` all come here.  Each
+        handler-time charge draws its sample first (the RNG order is
+        part of the determinism contract), then pays it one of two
+        ways (DESIGN.md §17):
 
-        Only dispatched with the fast-path and batch switches on and
-        no schedule policy installed (:meth:`_run` re-checks per
-        fault); with either switch off the granular
-        :meth:`_service_fault` runs instead, and the two must produce
-        byte-identical seeded results — the batch-equivalence rule the
-        determinism pins enforce.
+        * while a batch window is open (:meth:`Environment.batch_window`:
+          no scheduler, an empty heap, no run-until cap — nothing can
+          interleave), on a local clock, in charge order, committed
+          once before the wake or the store read;
+        * otherwise as an :meth:`Environment.try_advance`, or else a
+          real timeout, so a schedule policy sees every scheduling
+          point.
+
+        The rare branches (no-tracker ablation, write-list steal,
+        synchronous read) finish the fault in helpers that return the
+        fault's path label.
         """
         env = self.env
         ops = self.ops
@@ -387,6 +324,8 @@ class Monitor:
                     f"fault {fault!r} for an unregistered region"
                 )
             if registration.quarantined:
+                # Fail fast: the backend was declared dead; do not hang
+                # the vCPU on a store that will never answer.
                 raise StoreUnavailableError(
                     f"VM pid={registration.qemu.pid} is quarantined: "
                     f"backend {registration.store.name!r} declared dead"
@@ -396,11 +335,7 @@ class Monitor:
             gauss = self._rng.gauss
             uffd_lat = ops.latency
             addr = fault.addr
-            # Cohort window: with an empty heap and no run-until cap,
-            # no event can fire between this fault's charges — they
-            # accumulate on a local clock (in charge order, preserving
-            # the granular float sequence) and commit at wake time.
-            window = not env._heap and env._until_cap is None
+            window = env.batch_window()
             clock = start
             sample = gauss(lat.dispatch_mean, lat.dispatch_sigma)
             if sample < 0.05:
@@ -422,38 +357,14 @@ class Monitor:
                     if token in self._prefetched_addrs:
                         self._prefetched_addrs.discard(token)
                         self.counters.incr("prefetch_hits")
-                wake_us = uffd_lat.wake_us
-                if window:
-                    clock += wake_us
-                    if not env.try_advance_batch(clock):
-                        env.sync_to(clock)  # pragma: no cover - defensive
-                    if fault.resolved.triggered:
-                        raise UffdError(f"{fault!r} already woken")
-                    fault.resolved.succeed()
-                    ops.counters.incr("wake")
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(wake_us)
-                elif env.try_advance(wake_us):
-                    if fault.resolved.triggered:
-                        raise UffdError(f"{fault!r} already woken")
-                    fault.resolved.succeed()
-                    ops.counters.incr("wake")
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(wake_us)
-                else:
-                    yield from self._timed(CodePath.WAKE, ops.wake(fault))
-                self.counters.incr("spurious_faults")
             else:
                 key = registration.key_for(addr)
-                if self.config.zero_page_tracker:
-                    first = self.tracker.is_first_access(key)
-                else:
-                    first = False
-
-                if first:
-                    # Figure 2's red path, as one cohort: insert-hash,
-                    # UFFD_ZEROPAGE, insert-LRU, wake — five charges,
-                    # one commit when the window is open.
+                # Without the tracker (ablation) every fault goes to
+                # the store and first touches pay a wasted round trip.
+                if self.config.zero_page_tracker and \
+                        self.tracker.is_first_access(key):
+                    # Figure 2's red path: insert-hash, UFFD_ZEROPAGE,
+                    # insert-LRU, then the wake below.
                     path = "zero_fill"
                     sample = gauss(
                         lat.insert_page_hash_mean,
@@ -472,11 +383,9 @@ class Monitor:
                     cost = uffd_lat.sample_zeropage(ops._rng)
                     if window:
                         clock += cost
-                        ops.finish_zeropage(table, addr)
-                    else:
-                        if not env.try_advance(cost):
-                            yield env.timeout(cost)
-                        ops.finish_zeropage(table, addr)
+                    elif not env.try_advance(cost):
+                        yield env.timeout(cost)
+                    ops.finish_zeropage(table, addr)
                     (self._ob_zeropage or self._mk_observer(
                         "_ob_zeropage", CodePath.UFFD_ZEROPAGE))(cost)
                     sample = gauss(
@@ -494,36 +403,6 @@ class Monitor:
                     self.lru.insert(addr, registration)
                     if self._check_on:
                         self.check.pages.on_zero_fill(key)
-                    wake_us = uffd_lat.wake_us
-                    if window:
-                        clock += wake_us
-                        if not env.try_advance_batch(clock):
-                            env.sync_to(clock)  # pragma: no cover
-                        if fault.resolved.triggered:
-                            raise UffdError(f"{fault!r} already woken")
-                        fault.resolved.succeed()
-                        ops.counters.incr("wake")
-                        (self._ob_wake or self._mk_observer(
-                            "_ob_wake", CodePath.WAKE))(wake_us)
-                    elif env.try_advance(wake_us):
-                        if fault.resolved.triggered:
-                            raise UffdError(f"{fault!r} already woken")
-                        fault.resolved.succeed()
-                        ops.counters.incr("wake")
-                        (self._ob_wake or self._mk_observer(
-                            "_ob_wake", CodePath.WAKE))(wake_us)
-                    else:
-                        yield from self._timed(
-                            CodePath.WAKE, ops.wake(fault)
-                        )
-                    self.counters.incr("zero_page_faults")
-                    # Post-wake (blue path) eviction interleaves with
-                    # the guest — stays event-driven, but flat.
-                    yield from self._evict_burst(self.lru.capacity, False)
-                    if self.victim_policy is not None:
-                        yield from self._enforce_policy_caps(
-                            registration, False
-                        )
                 else:
                     # Read fault: restore the page from remote memory.
                     sample = gauss(
@@ -538,159 +417,132 @@ class Monitor:
                         yield env.timeout(sample)
                     (self._ob_lookup or self._mk_observer(
                         "_ob_lookup", CodePath.LOOKUP_PAGE_HASH))(sample)
-                    config = self.config
-                    handled = False
-                    if not config.zero_page_tracker and \
-                            self.tracker.is_first_access(key):
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        yield from self._first_touch_via_store(
-                            fault, registration, key
-                        )
-                        handled = True
-                    elif config.write_list_steal:
-                        steal = self.writeback.steal(key)
-                        if steal is not None:
-                            if window:
-                                if not env.try_advance_batch(clock):
-                                    env.sync_to(clock)  # pragma: no cover
-                                window = False
-                            yield from self._resolve_from_steal(
-                                fault, registration, steal
-                            )
-                            handled = True
-                    elif self.writeback.holds(key):
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        yield from self.writeback.wait_durable(key)
-                        self.counters.incr("waits_for_writeback")
 
-                    if handled:
-                        pass
-                    elif not config.async_read:
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        yield from self._read_sync_path(
-                            fault, registration, key
+            if window:
+                # The one commit.  Nothing above touched the heap, so
+                # each charge's own try_advance would have succeeded:
+                # jumping to their in-order sum lands on the same float.
+                if not env.try_advance_batch(clock):
+                    env.sync_to(clock)  # pragma: no cover - defensive
+
+            if path is not None:
+                # Spurious or zero-fill: wake the vCPU.
+                if ops.try_wake(fault):
+                    (self._ob_wake or self._mk_observer(
+                        "_ob_wake", CodePath.WAKE))(uffd_lat.wake_us)
+                else:
+                    yield from self._timed(CodePath.WAKE, ops.wake(fault))
+                if path == "spurious":
+                    self.counters.incr("spurious_faults")
+                else:
+                    self.counters.incr("zero_page_faults")
+                    # Post-wake (blue path) eviction interleaves with
+                    # the guest — stays event-driven, but flat.
+                    yield from self._evict_until(self.lru.capacity, False)
+                    if self.victim_policy is not None:
+                        yield from self._enforce_policy_caps(
+                            registration, False
                         )
-                    else:
-                        # §V-B async read, inlined: issue the read,
-                        # evict under it, copy + wake.
-                        path = "async_fetch"
-                        if window:
-                            if not env.try_advance_batch(clock):
-                                env.sync_to(clock)  # pragma: no cover
-                            window = False
-                        issued_at = env._now
+            else:
+                config = self.config
+                if not config.zero_page_tracker and \
+                        self.tracker.is_first_access(key):
+                    path = yield from self._first_touch_via_store(
+                        fault, registration, key
+                    )
+                elif config.write_list_steal:
+                    steal = self.writeback.steal(key)
+                    if steal is not None:
+                        path = yield from self._resolve_from_steal(
+                            fault, registration, steal
+                        )
+                elif self.writeback.holds(key):
+                    # No stealing: wait until the pending write is
+                    # durable, then take the normal read path (two full
+                    # round trips).
+                    yield from self.writeback.wait_durable(key)
+                    self.counters.incr("waits_for_writeback")
+                if path is None and not config.async_read:
+                    path = yield from self._read_sync_path(
+                        fault, registration, key
+                    )
+            if path is None:
+                # §V-B: issue the read, evict under it, copy + wake.
+                path = "async_fetch"
+                issued_at = env._now
+                if self._check_on:
+                    self.check.pages.on_read_issued(key)
+                handle = registration.store.read_async(key)
+                # REMAP runs while the vCPU is already suspended, so
+                # its IPI is cheap (§V-B).
+                yield from self._evict_until(self.lru.capacity - 1, True)
+                sample = gauss(
+                    lat.update_page_cache_mean, lat.update_page_cache_sigma,
+                )
+                if sample < 0.05:
+                    sample = 0.05
+                if not env.try_advance(sample):
+                    yield env.timeout(sample)
+                (self._ob_update or self._mk_observer(
+                    "_ob_update", CodePath.UPDATE_PAGE_CACHE,
+                ))(sample)
+                sample = gauss(lat.insert_lru_mean, lat.insert_lru_sigma)
+                if sample < 0.05:
+                    sample = 0.05
+                if not env.try_advance(sample):
+                    yield env.timeout(sample)
+                (self._ob_insert_lru or self._mk_observer(
+                    "_ob_insert_lru", CodePath.INSERT_LRU_CACHE_NODE,
+                ))(sample)
+                try:
+                    page = yield handle.event
+                except KeyNotFoundError as exc:
+                    if self._check_on:
+                        self.check.pages.on_read_failed(key)
+                    raise FluidMemError(
+                        f"remote memory lost page {addr:#x} "
+                        f"(key {key:#x}) on backend "
+                        f"{registration.store.name!r} — an evicting store "
+                        "(e.g. undersized Memcached) cannot back FluidMem"
+                    ) from exc
+                except TransientStoreError as exc:
+                    # The asynchronous top half failed; fall back to
+                    # retried synchronous reads (that first attempt
+                    # counts against the policy's budget).
+                    self.counters.incr("async_read_failures")
+                    try:
+                        page = yield from self._fetch_with_retry(
+                            registration, key, prior_attempts=1,
+                            initial_error=exc,
+                        )
+                    except Exception:
                         if self._check_on:
-                            self.check.pages.on_read_issued(key)
-                        handle = registration.store.read_async(key)
-                        lru = self.lru
-                        yield from self._evict_burst(
-                            lru.capacity - 1, True
-                        )
-                        sample = gauss(
-                            lat.update_page_cache_mean,
-                            lat.update_page_cache_sigma,
-                        )
-                        if sample < 0.05:
-                            sample = 0.05
-                        if not env.try_advance(sample):
-                            yield env.timeout(sample)
-                        (self._ob_update or self._mk_observer(
-                            "_ob_update", CodePath.UPDATE_PAGE_CACHE,
-                        ))(sample)
-                        sample = gauss(
-                            lat.insert_lru_mean, lat.insert_lru_sigma
-                        )
-                        if sample < 0.05:
-                            sample = 0.05
-                        if not env.try_advance(sample):
-                            yield env.timeout(sample)
-                        (self._ob_insert_lru or self._mk_observer(
-                            "_ob_insert_lru",
-                            CodePath.INSERT_LRU_CACHE_NODE,
-                        ))(sample)
-                        try:
-                            page = yield handle.event
-                        except KeyNotFoundError as exc:
-                            if self._check_on:
-                                self.check.pages.on_read_failed(key)
-                            raise FluidMemError(
-                                f"remote memory lost page {addr:#x} "
-                                f"(key {key:#x}) on backend "
-                                f"{registration.store.name!r} — an "
-                                "evicting store (e.g. undersized "
-                                "Memcached) cannot back FluidMem"
-                            ) from exc
-                        except TransientStoreError as exc:
-                            self.counters.incr("async_read_failures")
-                            try:
-                                page = yield from self._fetch_with_retry(
-                                    registration, key, prior_attempts=1,
-                                    initial_error=exc,
-                                )
-                            except Exception:
-                                if self._check_on:
-                                    self.check.pages.on_read_failed(key)
-                                raise
-                        (self._ob_read or self._mk_observer(
-                            "_ob_read", CodePath.READ_PAGE,
-                        ))(env._now - issued_at)
-                        page = self._as_page(page, addr)
-                        # _install_unless_present, inlined.
-                        if addr in table._entries:
-                            self.counters.incr("duplicate_reads_dropped")
-                            installed = False
-                        else:
-                            cost = uffd_lat.sample_copy(ops._rng)
-                            if not env.try_advance(cost):
-                                yield env.timeout(cost)
-                            mapped = ops.finish_copy(
-                                table, addr, page, skip_if_present=True
-                            )
-                            (self._ob_copy or self._mk_observer(
-                                "_ob_copy", CodePath.UFFD_COPY))(cost)
-                            if addr not in lru._entries:
-                                lru.insert(addr, registration)
-                            installed = mapped is page
-                        if self._check_on:
-                            if installed:
-                                self.check.pages.on_read_installed(key)
-                            else:
-                                self.check.pages.on_read_dropped(key)
-                        wake_us = uffd_lat.wake_us
-                        if env.try_advance(wake_us):
-                            if fault.resolved.triggered:
-                                raise UffdError(f"{fault!r} already woken")
-                            fault.resolved.succeed()
-                            ops.counters.incr("wake")
-                            (self._ob_wake or self._mk_observer(
-                                "_ob_wake", CodePath.WAKE))(wake_us)
-                        else:
-                            yield from self._timed(
-                                CodePath.WAKE, ops.wake(fault)
-                            )
-                        self.counters.incr("remote_reads")
-                        if self.victim_policy is not None:
-                            yield from self._enforce_policy_caps(
-                                registration, True
-                            )
-                        if self.prefetcher is not None:
-                            self._maybe_prefetch(fault, registration)
+                            self.check.pages.on_read_failed(key)
+                        raise
+                (self._ob_read or self._mk_observer(
+                    "_ob_read", CodePath.READ_PAGE,
+                ))(env._now - issued_at)
+                yield from self._install_unless_present(
+                    registration, addr, key, self._as_page(page, addr)
+                )
+                if ops.try_wake(fault):
+                    (self._ob_wake or self._mk_observer(
+                        "_ob_wake", CodePath.WAKE))(uffd_lat.wake_us)
+                else:
+                    yield from self._timed(CodePath.WAKE, ops.wake(fault))
+                self.counters.incr("remote_reads")
+                if self.victim_policy is not None:
+                    yield from self._enforce_policy_caps(registration, True)
+                if self.prefetcher is not None:
+                    self._maybe_prefetch(fault, registration)
         except StoreUnavailableError as exc:
-            # Graceful degradation, mirroring _service_fault.
-            self._fault_paths.pop(fault, None)
+            # Graceful degradation: the faulting vCPU gets the error
+            # (fail fast, no hang) while the monitor keeps serving the
+            # other VMs' faults.
             self.counters.incr("faults_failed_unavailable")
             if self._obs_on:
                 self.obs.tracer.instant(
-                    "fault_failed", self.env.now, cat="fault",
+                    "fault_failed", env.now, cat="fault",
                     track=self.name, addr=f"{fault.addr:#x}",
                     error=type(exc).__name__,
                 )
@@ -698,16 +550,9 @@ class Monitor:
                 fault.resolved._defused = True  # may have no waiter
                 fault.resolved.fail(exc)
             return
-        except BaseException:
-            self._fault_paths.pop(fault, None)
-            raise
         latency = env._now - start
         self.fault_latency.record(latency)
-        if self._fault_paths:
-            # A granular fallback helper classified this fault.
-            path = self._fault_paths.pop(fault, path)
         if self._obs_on:
-            path = path or "unclassified"
             hist = self._h_fault_latency
             if hist is None:
                 hist = self._h_fault_latency = self.obs.registry.histogram(
@@ -854,7 +699,7 @@ class Monitor:
                 buffer_vaddr, interleaved=False,
             )
             key = registration.key_for(vaddr)
-            yield from registration.store.put(key, page, PAGE_SIZE)
+            yield from self._put_with_retry(registration, key, page)
             if self._check_on:
                 self.check.pages.on_evicted(key, durable=True)
             pte = self.buffer_table.unmap(buffer_vaddr)
@@ -994,140 +839,6 @@ class Monitor:
         if 0 <= slot < self._buffer_slot_count:
             self._buffer_policy.give(slot)
 
-    # -- fault handling -------------------------------------------------------------
-
-    def _handle_fault(self, fault: UffdFault) -> Generator:
-        registration = self._by_handle.get(fault.region)
-        if registration is None or not registration.active:
-            raise FluidMemError(
-                f"fault {fault!r} for an unregistered region"
-            )
-        if registration.quarantined:
-            # Fail fast: the backend was declared dead; do not hang the
-            # vCPU on a store that will never answer.
-            raise StoreUnavailableError(
-                f"VM pid={registration.qemu.pid} is quarantined: "
-                f"backend {registration.store.name!r} declared dead"
-            )
-        self.counters.incr("faults")
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.EVENT_DISPATCH,
-            latency.dispatch_mean,
-            latency.dispatch_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.EVENT_DISPATCH, pending)
-        if fault.addr in registration.table:
-            # A prefetch landed between the fault being raised and us
-            # reading the event: spurious — just wake the vCPU.
-            self._fault_paths[fault] = "spurious"
-            if self._prefetched_addrs:
-                token = (id(registration), fault.addr)
-                if token in self._prefetched_addrs:
-                    self._prefetched_addrs.discard(token)
-                    self.counters.incr("prefetch_hits")
-            if self.ops.try_wake(fault):
-                self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-            else:
-                yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-            self.counters.incr("spurious_faults")
-            return
-        key = registration.key_for(fault.addr)
-
-        if self.config.zero_page_tracker:
-            first = self.tracker.is_first_access(key)
-        else:
-            # Ablation: no tracker — every fault goes to the store and
-            # first touches pay a wasted round trip (KeyNotFound).
-            first = False
-
-        if first:
-            yield from self._handle_first_touch(fault, registration, key)
-        else:
-            yield from self._handle_read_fault(fault, registration, key)
-
-    def _handle_first_touch(
-        self, fault: UffdFault, registration: VmRegistration, key: int
-    ) -> Generator:
-        """Figure 2's red path: zero page, wake, evict asynchronously."""
-        self._fault_paths[fault] = "zero_fill"
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.INSERT_PAGE_HASH_NODE,
-            latency.insert_page_hash_mean,
-            latency.insert_page_hash_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_PAGE_HASH_NODE, pending
-            )
-        self.tracker.mark_seen(key)
-        done, _page, cost = self.ops.try_zeropage(
-            registration.table, fault.addr
-        )
-        if not done:
-            yield self.env.timeout(cost)
-            self.ops.finish_zeropage(registration.table, fault.addr)
-        self.profiler.record(CodePath.UFFD_ZEROPAGE, cost)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
-            )
-        self.lru.insert(fault.addr, registration)
-        if self._check_on:
-            self.check.pages.on_zero_fill(key)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        self.counters.incr("zero_page_faults")
-        # Asynchronous (blue path): bring residency back under budget
-        # only after the guest is running again.
-        yield from self._evict_until(self.lru.capacity, interleaved=False)
-        yield from self._enforce_policy_caps(registration, False)
-
-    def _handle_read_fault(
-        self, fault: UffdFault, registration: VmRegistration, key: int
-    ) -> Generator:
-        """Re-access of an evicted page: restore it from remote memory."""
-        latency = self.config.latency
-        pending = self._charge_fast(
-            CodePath.LOOKUP_PAGE_HASH,
-            latency.lookup_page_hash_mean,
-            latency.lookup_page_hash_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.LOOKUP_PAGE_HASH, pending)
-        if not self.config.zero_page_tracker and \
-                self.tracker.is_first_access(key):
-            # Tracker disabled: discover first touches the slow way.
-            yield from self._first_touch_via_store(fault, registration, key)
-            return
-
-        if self.config.write_list_steal:
-            steal = self.writeback.steal(key)
-            if steal is not None:
-                yield from self._resolve_from_steal(
-                    fault, registration, steal
-                )
-                return
-        elif self.writeback.holds(key):
-            # No stealing: wait until the pending write is durable,
-            # then take the normal read path (two full round trips).
-            yield from self.writeback.wait_durable(key)
-            self.counters.incr("waits_for_writeback")
-
-        if self.config.async_read:
-            yield from self._read_async_path(fault, registration, key)
-        else:
-            yield from self._read_sync_path(fault, registration, key)
-
     # -- resilience (retry / quarantine) ------------------------------------
 
     def _quarantine(self, registration: VmRegistration) -> None:
@@ -1215,113 +926,42 @@ class Monitor:
             self._quarantine(registration)
             raise
 
-    def _read_async_path(
-        self, fault: UffdFault, registration: VmRegistration, key: int
+    def _install_unless_present(
+        self, registration: VmRegistration, addr: int, key: int, page: Page
     ) -> Generator:
-        """§V-B: issue the read, evict under it, then copy + wake."""
-        self._fault_paths[fault] = "async_fetch"
-        latency = self.config.latency
-        issued_at = self.env.now
-        if self._check_on:
-            self.check.pages.on_read_issued(key)
-        handle = registration.store.read_async(key)
-        # Interleave the eviction and cache bookkeeping with the
-        # in-flight network read; REMAP runs while the vCPU is already
-        # suspended so its IPI is cheap (§V-B).
-        yield from self._evict_until(
-            self.lru.capacity - 1, interleaved=True
-        )
-        pending = self._charge_fast(
-            CodePath.UPDATE_PAGE_CACHE,
-            latency.update_page_cache_mean,
-            latency.update_page_cache_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.UPDATE_PAGE_CACHE, pending)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
-            )
-        try:
-            page = yield handle.event
-        except KeyNotFoundError as exc:
-            if self._check_on:
-                self.check.pages.on_read_failed(key)
-            raise FluidMemError(
-                f"remote memory lost page {fault.addr:#x} "
-                f"(key {key:#x}) on backend "
-                f"{registration.store.name!r} — an evicting store "
-                "(e.g. undersized Memcached) cannot back FluidMem"
-            ) from exc
-        except TransientStoreError as exc:
-            # The asynchronous top half failed; fall back to retried
-            # synchronous reads (that first attempt counts against the
-            # policy's budget).
-            self.counters.incr("async_read_failures")
-            try:
-                page = yield from self._fetch_with_retry(
-                    registration, key, prior_attempts=1,
-                    initial_error=exc,
-                )
-            except Exception:
-                if self._check_on:
-                    self.check.pages.on_read_failed(key)
-                raise
-        self.profiler.record(CodePath.READ_PAGE, self.env.now - issued_at)
-        page = self._as_page(page, fault.addr)
-        installed = yield from self._install_unless_present(
-            registration, fault.addr, page
-        )
+        """COPY + LRU-insert, unless a concurrent prefetch already
+        installed the page while we waited on the store; the checker
+        learns which of the two happened."""
+        env = self.env
+        ops = self.ops
+        table = registration.table
+        if addr in table._entries:
+            self.counters.incr("duplicate_reads_dropped")
+            installed = False
+        else:
+            cost = ops.latency.sample_copy(ops._rng)
+            if not env.try_advance(cost):
+                yield env.timeout(cost)
+            mapped = ops.finish_copy(table, addr, page, skip_if_present=True)
+            (self._ob_copy or self._mk_observer(
+                "_ob_copy", CodePath.UFFD_COPY))(cost)
+            if addr not in self.lru._entries:
+                self.lru.insert(addr, registration)
+            installed = mapped is page
         if self._check_on:
             if installed:
                 self.check.pages.on_read_installed(key)
             else:
                 self.check.pages.on_read_dropped(key)
-        if self.ops.try_wake(fault):
-            self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
-        else:
-            yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
-        self.counters.incr("remote_reads")
-        yield from self._enforce_policy_caps(registration, True)
-        self._maybe_prefetch(fault, registration)
-
-    def _install_unless_present(
-        self, registration: VmRegistration, addr: int, page: Page
-    ) -> Generator:
-        """COPY + LRU-insert, unless a concurrent prefetch already
-        installed the page while we waited on the store.
-
-        Returns True when ``page`` itself was installed, False when a
-        concurrent resolver won the race and this copy was dropped.
-        """
-        if addr in registration.table:
-            self.counters.incr("duplicate_reads_dropped")
-            return False
-        done, mapped, cost = self.ops.try_copy(
-            registration.table, addr, page, skip_if_present=True
-        )
-        if not done:
-            yield self.env.timeout(cost)
-            mapped = self.ops.finish_copy(
-                registration.table, addr, page, skip_if_present=True
-            )
-        self.profiler.record(CodePath.UFFD_COPY, cost)
-        if addr not in self.lru:
-            self.lru.insert(addr, registration)
-        return mapped is page
 
     def _read_sync_path(
         self, fault: UffdFault, registration: VmRegistration, key: int
     ) -> Generator:
         """Unoptimized (Table II "Default"): everything in sequence."""
-        self._fault_paths[fault] = "sync_fetch"
-        latency = self.config.latency
-        issued_at = self.env.now
+        env = self.env
+        lat = self.config.latency
+        gauss = self._rng.gauss
+        issued_at = env.now
         if self._check_on:
             self.check.pages.on_read_issued(key)
         try:
@@ -1339,37 +979,23 @@ class Monitor:
             if self._check_on:
                 self.check.pages.on_read_failed(key)
             raise
-        self.profiler.record(CodePath.READ_PAGE, self.env.now - issued_at)
-        pending = self._charge_fast(
-            CodePath.UPDATE_PAGE_CACHE,
-            latency.update_page_cache_mean,
-            latency.update_page_cache_sigma,
+        self.profiler.record(CodePath.READ_PAGE, env.now - issued_at)
+        sample = max(0.05, gauss(
+            lat.update_page_cache_mean, lat.update_page_cache_sigma
+        ))
+        if not env.try_advance(sample):
+            yield env.timeout(sample)
+        self.profiler.record(CodePath.UPDATE_PAGE_CACHE, sample)
+        sample = max(0.05, gauss(lat.insert_lru_mean, lat.insert_lru_sigma))
+        if not env.try_advance(sample):
+            yield env.timeout(sample)
+        self.profiler.record(CodePath.INSERT_LRU_CACHE_NODE, sample)
+        yield from self._install_unless_present(
+            registration, fault.addr, key, self._as_page(page, fault.addr)
         )
-        if pending is not None:
-            yield from self._charge_slow(CodePath.UPDATE_PAGE_CACHE, pending)
-        page = self._as_page(page, fault.addr)
-        pending = self._charge_fast(
-            CodePath.INSERT_LRU_CACHE_NODE,
-            latency.insert_lru_mean,
-            latency.insert_lru_sigma,
-        )
-        if pending is not None:
-            yield from self._charge_slow(
-                CodePath.INSERT_LRU_CACHE_NODE, pending
-            )
-        installed = yield from self._install_unless_present(
-            registration, fault.addr, page
-        )
-        if self._check_on:
-            if installed:
-                self.check.pages.on_read_installed(key)
-            else:
-                self.check.pages.on_read_dropped(key)
         # Synchronous eviction *before* the wake: the whole cost sits
         # on the critical path.
-        yield from self._evict_until(
-            self.lru.capacity, interleaved=False
-        )
+        yield from self._evict_until(self.lru.capacity, False)
         if self.ops.try_wake(fault):
             self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
         else:
@@ -1377,6 +1003,7 @@ class Monitor:
         self.counters.incr("remote_reads")
         yield from self._enforce_policy_caps(registration, False)
         self._maybe_prefetch(fault, registration)
+        return "sync_fetch"
 
     def _maybe_prefetch(
         self, fault: UffdFault, registration: VmRegistration
@@ -1509,7 +1136,6 @@ class Monitor:
         """No-tracker ablation: pay a miss round trip, then zero-fill."""
         from ..errors import KeyNotFoundError
 
-        self._fault_paths[fault] = "store_first_touch"
         issued_at = self.env.now
         try:
             page = yield from self._fetch_with_retry(registration, key)
@@ -1539,6 +1165,7 @@ class Monitor:
         else:
             yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
         yield from self._evict_until(self.lru.capacity, interleaved=False)
+        return "store_first_touch"
 
     def _resolve_from_steal(
         self,
@@ -1547,10 +1174,6 @@ class Monitor:
         steal: StealResult,
     ) -> Generator:
         """§V-B: the faulted page is on the write list."""
-        self._fault_paths[fault] = (
-            "steal_local" if steal.state == StealResult.PENDING
-            else "steal_wait"
-        )
         if self._obs_on:
             self.obs.tracer.instant(
                 "batch_steal", self.env.now, cat="writeback",
@@ -1570,6 +1193,7 @@ class Monitor:
                 ),
             )
             self.counters.incr("steals_resolved_locally")
+            path = "steal_local"
         else:
             # In flight: "no other choice than to wait for the write to
             # complete", then resume immediately with the page.
@@ -1584,6 +1208,7 @@ class Monitor:
             if self._check_on:
                 self.check.pages.on_steal_installed(steal.entry.key)
             self.counters.incr("steals_after_wait")
+            path = "steal_wait"
         self.lru.insert(fault.addr, registration)
         if self.ops.try_wake(fault):
             self.profiler.record(CodePath.WAKE, self.ops.latency.wake_us)
@@ -1591,12 +1216,9 @@ class Monitor:
             yield from self._timed(CodePath.WAKE, self.ops.wake(fault))
         yield from self._evict_until(self.lru.capacity, interleaved=False)
         yield from self._enforce_policy_caps(registration, False)
+        return path
 
     # -- eviction -----------------------------------------------------------------
-
-    def _evict_until(self, target: int, interleaved: bool) -> Generator:
-        while len(self.lru) > target:
-            yield from self._evict_one(interleaved)
 
     def _enforce_policy_caps(
         self, registration: VmRegistration, interleaved: bool
@@ -1604,93 +1226,37 @@ class Monitor:
         """Evict a capped VM back under its per-VM limit (policy §III)."""
         if self.victim_policy is None:
             return
-        while self.victim_policy.enforce_cap(self.lru, registration) > 0:
-            candidate = self.lru.pop_oldest_of(registration)
+        yield from self._evict_until(
+            0, interleaved, victims=self._over_cap_victims(registration)
+        )
+
+    def _over_cap_victims(self, registration: VmRegistration):
+        """A capped VM's oldest pages, one per eviction, while the
+        policy still counts it over its limit."""
+        lru = self.lru
+        while self.victim_policy.enforce_cap(lru, registration) > 0:
+            candidate = lru.pop_oldest_of(registration)
             if candidate is None:
                 return
-            yield from self._evict_entry(candidate[0], registration,
-                                         interleaved)
+            yield candidate
             self.counters.incr("cap_evictions")
 
-    def _evict_one(self, interleaved: bool) -> Generator:
-        if self.victim_policy is not None:
-            candidate = self.victim_policy.select_victim(self.lru)
-        else:
-            candidate = self.lru.pop_eviction_candidate()
-        if candidate is None:
-            return
-        vaddr, registration = candidate
-        yield from self._evict_entry(vaddr, registration, interleaved)
-
-    def _evict_entry(
-        self,
-        vaddr: int,
-        registration: VmRegistration,
-        interleaved: bool,
+    def _evict_until(
+        self, target: int, interleaved: bool, victims=None
     ) -> Generator:
-        evict_started = self.env.now
-        if self._prefetched_addrs:
-            # A never-touched prefetched page going back out was
-            # wasted work (and a wasted store round trip).
-            token = (id(registration), vaddr)
-            if token in self._prefetched_addrs:
-                self._prefetched_addrs.discard(token)
-                self.counters.incr("prefetches_wasted")
-        buffer_vaddr = self._take_buffer_slot()
-        done, page, cost = self.ops.try_remap_out(
-            registration.table,
-            vaddr,
-            self.buffer_table,
-            buffer_vaddr,
-            interleaved=interleaved,
-        )
-        if not done:
-            # Pay the already-drawn cost as a plain timeout, then apply
-            # just the mutation — no ioctl generator on the slow path.
-            yield self.env.timeout(cost)
-            page = self.ops.finish_remap_out(
-                registration.table, vaddr, self.buffer_table, buffer_vaddr
-            )
-        self.profiler.record(CodePath.UFFD_REMAP, cost)
-        key = registration.key_for(vaddr)
-        self.counters.incr("evictions")
-        if self.config.async_writeback:
-            if self._check_on:
-                self.check.pages.on_evicted(key, durable=False)
-            self.writeback.enqueue(
-                WritebackEntry(
-                    key, page, buffer_vaddr, registration, self.env.now
-                )
-            )
-        else:
-            issued_at = self.env.now
-            yield from self._put_with_retry(registration, key, page)
-            if self._check_on:
-                self.check.pages.on_evicted(key, durable=True)
-            self.profiler.record(
-                CodePath.WRITE_PAGE, self.env.now - issued_at
-            )
-            pte = self.buffer_table.unmap(buffer_vaddr)
-            self.ops.frames.free(pte.frame)
-            self._release_buffer_slot(buffer_vaddr)
-        if self._obs_on:
-            self.obs.registry.histogram(
-                "path_latency_us", path="eviction", vm=self.name
-            ).observe(self.env.now - evict_started)
+        """Evict until at most ``target`` pages stay resident.
 
-    def _evict_burst(self, target: int, interleaved: bool) -> Generator:
-        """Flat eviction cohort: :meth:`_evict_until` with the
-        :meth:`_evict_one` → :meth:`_evict_entry` generator chain
-        unrolled into one loop (DESIGN.md §17).
-
-        Byte-equivalent to the granular chain — same RNG draws, same
-        charge order, same counter/check/metrics effects per victim —
-        minus two generator frames and the repeated attribute lookups
-        per evicted page.  Only the flat burst path calls this; the
-        granular service path keeps the original chain.
+        Victims come from the provider policy when one is set, else
+        from the top of the LRU list; ``victims``, when given, is an
+        iterator of ``(vaddr, registration)`` pairs evicted instead
+        (``target`` is then ignored).  Each victim is REMAPped into
+        the eviction buffer and queued for write-back, or written
+        synchronously when ``async_writeback`` is off.  The per-page
+        steps are inlined into this one loop (DESIGN.md §17).
         """
         lru = self.lru
-        if len(lru) <= target:
+        entries = lru._entries
+        if victims is None and len(entries) <= target:
             return
         env = self.env
         ops = self.ops
@@ -1702,15 +1268,15 @@ class Monitor:
         uffd_rng = ops._rng
         try_advance = env.try_advance
         finish_remap_out = ops.finish_remap_out
-        record_remap = self._ob_remap or self._mk_observer(
-            "_ob_remap", CodePath.UFFD_REMAP
-        )
         incr = self.counters.incr
         buffer_table = self.buffer_table
         enqueue = self.writeback.enqueue
-        entries = lru._entries
-        while len(entries) > target:
-            if victim_policy is not None:
+        while True:
+            if victims is not None:
+                candidate = next(victims, None)
+            elif len(entries) <= target:
+                return
+            elif victim_policy is not None:
                 candidate = victim_policy.select_victim(lru)
             else:
                 candidate = lru.pop_eviction_candidate()
@@ -1719,6 +1285,8 @@ class Monitor:
             vaddr, registration = candidate
             evict_started = env._now
             if self._prefetched_addrs:
+                # A never-touched prefetched page going back out was
+                # wasted work (and a wasted store round trip).
                 token = (id(registration), vaddr)
                 if token in self._prefetched_addrs:
                     self._prefetched_addrs.discard(token)
@@ -1730,7 +1298,8 @@ class Monitor:
             page = finish_remap_out(
                 registration.table, vaddr, buffer_table, buffer_vaddr
             )
-            record_remap(cost)
+            (self._ob_remap or self._mk_observer(
+                "_ob_remap", CodePath.UFFD_REMAP))(cost)
             key = registration.key_for(vaddr)
             incr("evictions")
             if async_wb:
@@ -1773,35 +1342,6 @@ class Monitor:
         page = Page(vaddr=vaddr)
         page.write()
         return page
-
-    def _charge_fast(
-        self, path: CodePath, mean: float, sigma: float
-    ) -> Optional[float]:
-        """Non-generator handler-time charge.
-
-        Returns ``None`` when the clock bump settled without any event
-        machinery, else the drawn sample for :meth:`_charge_slow` — the
-        RNG stream is part of the determinism contract and must never
-        see a redraw.
-        """
-        sample = max(0.05, self._rng.gauss(mean, sigma))
-        if self.env.try_advance(sample):
-            self.profiler.record(path, sample)
-            return None
-        return sample
-
-    def _charge_slow(self, path: CodePath, sample: float) -> Generator:
-        yield self.env.timeout(sample)
-        self.profiler.record(path, sample)
-
-    def _charge(
-        self, path: CodePath, mean: float, sigma: float
-    ) -> Generator:
-        # A pure handler-time charge: skip the event machinery when the
-        # clock bump is provably equivalent to the timeout it replaces.
-        pending = self._charge_fast(path, mean, sigma)
-        if pending is not None:
-            yield from self._charge_slow(path, pending)
 
     def _timed(self, path: CodePath, operation: Generator) -> Generator:
         started = self.env.now

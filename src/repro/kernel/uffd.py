@@ -186,16 +186,13 @@ class UffdOps:
         self.frames = frames
         self.counters = CounterSet()
 
-    # The try_* variants are non-generator mirrors of the ioctls for the
-    # monitor's fault hot loop: they draw the same latency sample, and
-    # either settle it via Environment.try_advance (returning the result
-    # with no event machinery at all) or hand the pre-drawn cost back so
-    # the caller can fall into the generator version via ``_cost=`` —
-    # the RNG stream is part of the determinism contract and must never
-    # see a redraw.  The finish_* helpers apply just the state mutation:
-    # a caller that already paid the pre-drawn cost (``yield
-    # env.timeout(cost)`` after a failed try_*) calls them directly,
-    # skipping the generator machinery of the full ioctl.
+    # Each ioctl is a latency draw (``latency.sample_*`` on this ops
+    # stream), a charge, and a finish_* state mutation.  The generator
+    # ioctls below run all three; the monitor's fault path makes the
+    # same draw itself, pays it on its own clock (a batch-window
+    # cohort, try_advance, or a timeout) and then calls finish_*
+    # directly.  Both keep one draw per ioctl in call order: the RNG
+    # stream is part of the determinism contract.
 
     def finish_zeropage(
         self, table: PageTable, addr: int, kind: PageKind = PageKind.ANONYMOUS
@@ -237,21 +234,11 @@ class UffdOps:
         self.counters.incr("remap")
         return pte.page
 
-    def try_zeropage(
-        self, table: PageTable, addr: int, kind: PageKind = PageKind.ANONYMOUS
-    ):
-        """Fast UFFDIO_ZEROPAGE: ``(done, page_or_none, cost)``."""
-        cost = self.latency.sample_zeropage(self._rng)
-        if not self.env.try_advance(cost):
-            return False, None, cost
-        return True, self.finish_zeropage(table, addr, kind), cost
-
     def zeropage(
         self,
         table: PageTable,
         addr: int,
         kind: PageKind = PageKind.ANONYMOUS,
-        _cost: Optional[float] = None,
     ) -> Generator:
         """UFFDIO_ZEROPAGE: resolve a first touch with the zero page.
 
@@ -259,24 +246,10 @@ class UffdOps:
         modelling the shared copy-on-write zero page; FluidMem's LRU
         accounting counts the page as resident either way.
         """
-        cost = self.latency.sample_zeropage(self._rng) if _cost is None \
-            else _cost
+        cost = self.latency.sample_zeropage(self._rng)
         if not self.env.try_advance(cost):
             yield self.env.timeout(cost)
         return self.finish_zeropage(table, addr, kind)
-
-    def try_copy(
-        self,
-        table: PageTable,
-        addr: int,
-        page: Page,
-        skip_if_present: bool = False,
-    ):
-        """Fast UFFDIO_COPY: ``(done, page_or_none, cost)``."""
-        cost = self.latency.sample_copy(self._rng)
-        if not self.env.try_advance(cost):
-            return False, None, cost
-        return True, self.finish_copy(table, addr, page, skip_if_present), cost
 
     def copy(
         self,
@@ -284,7 +257,6 @@ class UffdOps:
         addr: int,
         page: Page,
         skip_if_present: bool = False,
-        _cost: Optional[float] = None,
     ) -> Generator:
         """UFFDIO_COPY: place ``page``'s contents at ``addr`` and map it.
 
@@ -292,26 +264,10 @@ class UffdOps:
         when a concurrent resolver (e.g. a prefetch completion) mapped
         the address first, return the winner's page instead of failing.
         """
-        cost = self.latency.sample_copy(self._rng) if _cost is None \
-            else _cost
+        cost = self.latency.sample_copy(self._rng)
         if not self.env.try_advance(cost):
             yield self.env.timeout(cost)
         return self.finish_copy(table, addr, page, skip_if_present)
-
-    def try_remap_out(
-        self,
-        table: PageTable,
-        addr: int,
-        dst_table: PageTable,
-        dst_addr: int,
-        interleaved: bool = False,
-    ):
-        """Fast UFFDIO_REMAP: ``(done, page_or_none, cost)``."""
-        cost = self.latency.sample_remap(self._rng, interleaved)
-        if not self.env.try_advance(cost):
-            return False, None, cost
-        return True, self.finish_remap_out(table, addr, dst_table, dst_addr), \
-            cost
 
     def remap_out(
         self,
@@ -320,7 +276,6 @@ class UffdOps:
         dst_table: PageTable,
         dst_addr: int,
         interleaved: bool = False,
-        _cost: Optional[float] = None,
     ) -> Generator:
         """UFFDIO_REMAP: move the page out of the VM by PTE rewrite.
 
@@ -329,8 +284,7 @@ class UffdOps:
         optimization where the call runs while the vCPU is already
         suspended, avoiding most of the TLB-shootdown IPI cost.
         """
-        cost = self.latency.sample_remap(self._rng, interleaved) \
-            if _cost is None else _cost
+        cost = self.latency.sample_remap(self._rng, interleaved)
         if not self.env.try_advance(cost):
             yield self.env.timeout(cost)
         return self.finish_remap_out(table, addr, dst_table, dst_addr)

@@ -14,7 +14,6 @@ from typing import Any, Dict, Generator
 from ..errors import KeyNotFoundError
 from ..mem import PAGE_SIZE
 from ..sim import Environment
-from ..sim import core as _simcore
 from ..sim.core import PRIORITY_URGENT, Event
 from .api import KeyValueBackend, PeekableValue, ReadHandle, _park_failure
 
@@ -57,8 +56,8 @@ class DramStore(KeyValueBackend):
         :class:`~repro.sim.core.Process` per read — an ``Initialize``
         heap event, a generator frame, and a process-completion heap
         event.  A DRAM read is RNG-free with a fixed ``COPY_US``
-        charge, so under the burst switches (DESIGN.md §17) the whole
-        bottom half collapses to two callbacks:
+        charge, so with no scheduler installed (DESIGN.md §17) the
+        whole bottom half collapses to two callbacks:
 
         * a bare start event scheduled exactly where ``Initialize``
           would sit — ``(now, PRIORITY_URGENT, seq)`` — whose callback
@@ -70,13 +69,11 @@ class DramStore(KeyValueBackend):
         The only heap event this drops is the driver process's own
         no-callback completion event, which changes nothing observable;
         the equivalence pins (tests/bench) hold this byte-identical to
-        the granular path.
+        the driver-process read that a ``FifoSchedule`` run takes.
         """
         env = self.env
         if (
-            not _simcore.FASTPATH_ON
-            or not _simcore.BATCH_ON
-            or env.scheduler is not None
+            env.scheduler is not None
             # A subclass that overrides get() (e.g. fault-injecting test
             # stores) must keep driving reads through it.
             or type(self).get is not DramStore.get

@@ -10,7 +10,7 @@ Five measurements, smallest scope to largest:
   ``Store.put_nowait`` → ``Store.try_get_batch`` hand-offs with the
   cohort's accumulated cost committed through
   ``Environment.try_advance_batch`` (DESIGN.md §17), reported as
-  ops/sec.  This is the layer the monitor's flat fault path stands on.
+  ops/sec.  This is the layer the monitor's fault path stands on.
 * **monitor** — the FluidMem fault path end to end: pmbench against the
   ``fluidmem-dram`` platform at a tiny memory scale so every access
   faults, reported as accesses/sec.  Exercises uffd delivery, the
@@ -117,9 +117,9 @@ def bench_burst_resolve(ops: int = 600_000) -> float:
     One op = one ``put_nowait`` enqueue immediately drained through the
     guarded ``try_get_batch``, with the cohort's clock cost committed
     as one ``try_advance_batch`` call every 64 ops — the exact
-    primitive sequence the monitor's flat fault path (DESIGN.md §17)
-    issues while a burst window is open.  With the batch switches off
-    the guarded calls fall back to their granular equivalents, so the
+    primitive sequence the monitor's fault path (DESIGN.md §17) issues
+    while a batch window is open.  Under a schedule policy the guarded
+    calls refuse and the plain ``try_get``/``sync_to`` stand in, so the
     spread between the two runs is the batch layer's own contribution.
     """
     from ..sim.resources import Store
@@ -137,7 +137,7 @@ def bench_burst_resolve(ops: int = 600_000) -> float:
     for index in range(ops):
         put_nowait(index)
         item = try_get_batch()
-        if item is None:  # batch switch off: granular fallback
+        if item is None:  # refused under a schedule policy
             item = try_get()
         clock += 0.05
         cohort += 1

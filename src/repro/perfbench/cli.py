@@ -6,16 +6,15 @@ Usage::
     python -m repro.perfbench --quick          # CI-sized runs
     python -m repro.perfbench --json out.json  # also write the document
     python -m repro.perfbench --compare BENCH_WALLCLOCK.json
-    python -m repro.perfbench --no-fastpath    # fast paths forced off
 
 ``--compare`` checks the fresh numbers against the most recent
 matching-mode entry of a BENCH_WALLCLOCK.json trajectory (or a bare
 result document) and exits non-zero when any metric regressed by more
 than ``--max-regression`` (default 2x — generous on purpose: these are
-wall-clock numbers on shared runners).  ``--no-fastpath`` measures the
-engine with every fast path disabled, the same configuration a
-schedule-exploration policy forces; the spread between the two runs is
-the batching layer's contribution.
+wall-clock numbers on shared runners).  Every engine fast path is gated
+only on ``Environment.scheduler is None``; a run with a
+``FifoSchedule`` installed is the reference those paths must match
+byte for byte, and the determinism tests, not this suite, pin that.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim import set_fastpath
 from .benchmarks import (
     PERFBENCH_SCHEMA,
     bench_sweep_scaling,
@@ -165,12 +163,6 @@ def _parser() -> argparse.ArgumentParser:
              "this factor (default: 2.0)",
     )
     parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable every engine fast path for this run (the "
-             "configuration a schedule explorer forces)",
-    )
-    parser.add_argument(
         "--sweep-seeds",
         type=int,
         default=None,
@@ -246,22 +238,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.sweep_seeds is not None or args.scaling:
         return _main_sweep(args)
 
-    previous = None
-    if args.no_fastpath:
-        previous = set_fastpath(False)
-    try:
-        result = run_suite(
-            quick=args.quick, seed=args.seed, reps=args.reps
-        )
-    finally:
-        if previous is not None:
-            set_fastpath(previous)
-    if args.no_fastpath:
-        result["fastpath"] = False
+    result = run_suite(quick=args.quick, seed=args.seed, reps=args.reps)
 
     width = max(len(name) for name, _ in METRIC_DIRECTIONS)
-    print(f"perfbench ({result['mode']}, seed {result['seed']}"
-          + (", fastpath off" if args.no_fastpath else "") + ")")
+    print(f"perfbench ({result['mode']}, seed {result['seed']})")
     for metric, _direction in METRIC_DIRECTIONS:
         if metric in result:
             print(f"  {metric:<{width}}  "

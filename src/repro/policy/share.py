@@ -15,8 +15,7 @@ minima last) and evicts that VM's oldest page.
 
 Historically this lived at ``repro.core.policy``; it moved here when
 the :mod:`repro.policy` package collected every pluggable policy
-family (allocation, prefetch, shares).  The old module remains as a
-deprecation shim.
+family (allocation, prefetch, shares).
 """
 
 from __future__ import annotations

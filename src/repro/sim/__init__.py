@@ -12,10 +12,6 @@ from .core import (
     Event,
     Process,
     Timeout,
-    batch_enabled,
-    fastpath_enabled,
-    set_batch,
-    set_fastpath,
 )
 from .randomness import RandomStreams, derive_seed
 from .resources import Container, Resource, Store
@@ -35,10 +31,6 @@ __all__ = [
     "Timeout",
     "AnyOf",
     "AllOf",
-    "set_fastpath",
-    "fastpath_enabled",
-    "set_batch",
-    "batch_enabled",
     "Resource",
     "Store",
     "Container",

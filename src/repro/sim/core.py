@@ -29,11 +29,14 @@ is aggressively optimized:
   equivalent.
 
 All of it is behavior-preserving: with a fixed seed the simulated-time
-trajectory is byte-identical to the straightforward implementation, and
-``set_fastpath(False)`` (or ``REPRO_SIM_FASTPATH=0``) forces the
-straightforward paths for A/B measurement.  When a schedule-exploration
-policy is installed on :attr:`Environment.scheduler`, the fast paths
-disable themselves so the policy sees every scheduling decision.
+trajectory is byte-identical to the straightforward implementation.
+Every fast path has one global gate, ``scheduler is None``: when a
+schedule-exploration policy is installed on
+:attr:`Environment.scheduler`, the fast paths disable themselves so the
+policy sees every scheduling decision.  Installing
+:class:`~repro.check.explorer.FifoSchedule`, which keeps the engine's
+native order, therefore gives the reference run that the determinism
+pins compare against.
 
 Example
 -------
@@ -50,7 +53,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import count as _count
 from typing import (
     Any,
@@ -72,10 +74,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "PENDING",
-    "set_fastpath",
-    "fastpath_enabled",
-    "set_batch",
-    "batch_enabled",
 ]
 
 #: Sentinel for an event value that has not been set yet.
@@ -91,52 +89,6 @@ _heappop = heapq.heappop
 
 #: Maximum recycled Timeout objects kept per environment.
 _TIMEOUT_POOL_MAX = 1024
-
-#: Module-wide fast-path switch (timeout pooling + try_advance).  Off
-#: ≈ the pre-overhaul engine, for A/B wall-clock measurement and the
-#: batching determinism pins.  Seeded runs produce byte-identical
-#: simulated results either way — that equivalence is the fast-path
-#: contract (DESIGN.md §12).
-FASTPATH_ON = os.environ.get("REPRO_SIM_FASTPATH", "1").lower() not in (
-    "0", "false", "off", "no",
-)
-
-
-def set_fastpath(enabled: bool) -> bool:
-    """Toggle the engine fast paths; returns the previous setting."""
-    global FASTPATH_ON
-    previous = FASTPATH_ON
-    FASTPATH_ON = bool(enabled)
-    return previous
-
-
-def fastpath_enabled() -> bool:
-    """Current state of the module-wide fast-path switch."""
-    return FASTPATH_ON
-
-
-#: Module-wide batch-resolution switch (DESIGN.md §17).  Layered on top
-#: of FASTPATH_ON: batch paths require *both* switches, so
-#: ``REPRO_SIM_FASTPATH=0`` disables batching too, while
-#: ``REPRO_SIM_BATCH=0`` isolates just the burst-resolution layer for
-#: A/B measurement and the batch determinism pins.
-BATCH_ON = os.environ.get("REPRO_SIM_BATCH", "1").lower() not in (
-    "0", "false", "off", "no",
-)
-
-
-def set_batch(enabled: bool) -> bool:
-    """Toggle the batch-resolution paths; returns the previous setting."""
-    global BATCH_ON
-    previous = BATCH_ON
-    BATCH_ON = bool(enabled)
-    return previous
-
-
-def batch_enabled() -> bool:
-    """Current state of the module-wide batch-resolution switch."""
-    return BATCH_ON
-
 
 class Event:
     """An outcome that may happen at some point in simulated time.
@@ -632,7 +584,7 @@ class Environment:
         allocates nothing.
         """
         if (
-            FASTPATH_ON
+            self.scheduler is None
             and type(event) is Timeout
             and event.poolable
             and len(callbacks) == 1
@@ -671,8 +623,8 @@ class Environment:
 
         heap = self._heap
         pool = self._timeout_pool
-        # Pool headroom doubles as the fast-path switch: 0 disables.
-        pool_room = _TIMEOUT_POOL_MAX if FASTPATH_ON else 0
+        # Pool headroom doubles as the scheduler gate: 0 disables.
+        pool_room = _TIMEOUT_POOL_MAX if self.scheduler is None else 0
 
         if stop_event is None and stop_time is None:
             # Drain fast path: the dominant mode — hoisted locals, no
@@ -782,12 +734,12 @@ class Environment:
         been the *only* event to fire before its own deadline: no heap
         entry at or before ``now + delta`` (strictly — an equal-time
         event would have fired first, FIFO), no schedule-exploration
-        policy installed (it must see every scheduling decision), no
-        ``run(until=<time>)`` stop time that the bump would overshoot,
-        and the fast paths enabled.  Returns False when any of that
-        fails; callers then fall back to a real timeout.
+        policy installed (it must see every scheduling decision), and no
+        ``run(until=<time>)`` stop time that the bump would overshoot.
+        Returns False when any of that fails; callers then fall back to
+        a real timeout.
         """
-        if not FASTPATH_ON or self.scheduler is not None or delta < 0.0:
+        if self.scheduler is not None or delta < 0.0:
             return False
         target = self._now + delta
         heap = self._heap
@@ -806,19 +758,15 @@ class Environment:
 
         The window requires an **empty heap** (nothing at all is
         scheduled, so no event can interleave at any future time), no
-        schedule-exploration policy, no ``run(until=<time>)`` cap, and
-        both the fast-path and batch switches on.  Inside an open window
-        a cohort of N homogeneous operations may be resolved in one
-        pass — one clock advance for the summed cost, pre-drawn RNG
-        samples, bulk metrics observes — because the granular path's
-        intermediate yields provably could not have run anything else
-        (DESIGN.md §17).  Callers must check the window *before*
-        consuming RNG draws for the cohort.
+        schedule-exploration policy and no ``run(until=<time>)`` cap.
+        Inside an open window a cohort of N operations may be resolved
+        in one pass — one clock advance for the summed cost — because
+        the per-operation timeouts it replaces provably could not have
+        let anything else run (DESIGN.md §17).  Callers must check the
+        window *before* consuming RNG draws for the cohort.
         """
         return (
-            FASTPATH_ON
-            and BATCH_ON
-            and self.scheduler is None
+            self.scheduler is None
             and not self._heap
             and self._until_cap is None
         )
@@ -830,18 +778,16 @@ class Environment:
         This is the commit half of cohort resolution: the caller checks
         :meth:`batch_window`, accumulates ``target`` from :attr:`now` by
         adding each member's cost *in cohort order* (bit-identical to
-        the float sequence N granular :meth:`try_advance` calls would
+        the float sequence N per-member :meth:`try_advance` calls would
         have produced — summing the costs first and adding once would
         not be, float addition being non-associative), then commits
-        here.  The empty-heap window guarantees each granular advance
+        here.  The empty-heap window guarantees each per-member advance
         would have succeeded, so the jump is provably equivalent.
         Returns False (mutating nothing) when the window is closed or
         ``target`` is in the past.
         """
         if (
-            not FASTPATH_ON
-            or not BATCH_ON
-            or self.scheduler is not None
+            self.scheduler is not None
             or target < self._now
             or self._heap
             or self._until_cap is not None

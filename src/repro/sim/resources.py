@@ -16,7 +16,6 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from ..errors import SimulationError
-from . import core as _core
 from .core import Environment, Event
 
 __all__ = ["Resource", "Request", "Store", "Container"]
@@ -72,14 +71,13 @@ class Resource:
         """Claim a free slot with no event machinery.
 
         Returns an already-granted token when the fast path applies
-        (fast path enabled, no scheduler installed, no waiters, a slot
-        free) — grant order is decided at request time either way, so
+        (no scheduler installed, no waiters, a slot free) — grant order is decided at request time either way, so
         skipping the grant event cannot change who gets the slot.
         Returns ``None`` otherwise; the caller falls back to
         ``yield self.request()``.  Release the token with
         :meth:`release` as usual.
         """
-        if not _core.FASTPATH_ON or self.env.scheduler is not None:
+        if self.env.scheduler is not None:
             return None
         if self._queue or len(self._users) >= self.capacity:
             return None
@@ -196,25 +194,21 @@ class Store:
         """Guarded synchronous take for burst drains (DESIGN.md §17).
 
         Returns the oldest item iff consuming it right now is provably
-        equivalent to ``yield self.get()``: fast-path *and* batch
-        switches on, no schedule-exploration policy, no competing
-        getters or blocked putters, an item present, and no heap event
-        due at the current time — under those conditions the granular
-        get's success event would have been the very next thing to
-        fire, so nothing else could have run in between.  Returns
-        ``None`` otherwise; the caller falls back to
+        equivalent to ``yield self.get()``: no schedule-exploration
+        policy, no competing getters or blocked putters, an item
+        present, and no heap event due at the current time — under
+        those conditions the get's success event would have been the
+        very next thing to fire, so nothing else could have run in
+        between.  Returns ``None`` otherwise; the caller falls back to
         ``yield self.get()``.
         """
+        env = self.env
         if (
-            not _core.FASTPATH_ON
-            or not _core.BATCH_ON
+            env.scheduler is not None
             or self._getters
             or self._putters
             or not self.items
         ):
-            return None
-        env = self.env
-        if env.scheduler is not None:
             return None
         heap = env._heap
         if heap and heap[0][0] <= env._now:

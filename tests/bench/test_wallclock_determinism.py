@@ -1,124 +1,51 @@
 """Determinism pins for the engine fast paths.
 
-The hot-path overhaul (batched clock advances, Timeout pooling, inline
-resource grants) is only allowed to change *wall-clock* speed.  These
-tests pin the two contracts that make that claim checkable:
-
-* (a) the seed-42 ``--metrics`` document for fig3/table1/cluster is
-  **byte-identical** with the fast paths on and forced off — simulated
-  results do not depend on the batching layer;
-* (b) ``repro.check`` campaign results are unchanged by the global
-  fast-path switch when a SchedulePolicy is installed, because the
-  scheduler auto-disables every fast path (the explorer must see every
-  scheduling decision either way);
-* (c) the same two contracts for the burst-resolution layer stacked on
-  top (``REPRO_SIM_BATCH`` / :func:`repro.sim.set_batch`, DESIGN.md
-  §17): seed-42 ``--metrics`` bytes are identical with batching forced
-  off, and campaigns are identical under *every* ``SCHEDULES`` policy
-  because a scheduler auto-disables the batch paths too.
+The hot-path overhaul (clock bumps, Timeout pooling, inline resource
+grants) and the burst-resolution layer on top of it (batch-window
+cohorts, ``Store.try_get_batch``, DESIGN.md §17) are only allowed to
+change *wall-clock* speed.  Every one of those paths is gated on
+``Environment.scheduler is None``, so the reference run installs
+:class:`~repro.check.explorer.FifoSchedule` — the engine's native
+order, with every fast path off — on every ``Environment``, and the
+seed-42 ``--metrics`` document must come out byte-identical to the
+no-scheduler run.
 """
 
 import contextlib
 import io
 
-import pytest
-
 from repro.bench.cli import main as bench_main
-from repro.check.campaign import run_campaign
-from repro.check.explorer import SCHEDULES
-from repro.sim import set_batch, set_fastpath
 
 
-@pytest.fixture
-def fastpath_off():
-    previous = set_fastpath(False)
-    yield
-    set_fastpath(previous)
-
-
-def _metrics_bytes(tmp_path, tag):
+def _metrics_bytes(tmp_path, tag, experiments):
     path = tmp_path / f"metrics-{tag}.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = bench_main([
-            "fig3", "table1", "cluster",
+            *experiments,
             "--quick", "--seed", "42", "--metrics", str(path),
         ])
     assert code == 0
     return path.read_bytes()
 
 
-def test_metrics_byte_identical_with_fastpath_forced_off(tmp_path):
-    with_fastpath = _metrics_bytes(tmp_path, "on")
-    previous = set_fastpath(False)
-    try:
-        without_fastpath = _metrics_bytes(tmp_path, "off")
-    finally:
-        set_fastpath(previous)
-    assert with_fastpath == without_fastpath
+def test_metrics_byte_identical_with_fastpath_forced_off(
+    tmp_path, fifo_reference
+):
+    experiments = ("fig3", "table1", "cluster")
+    fast = _metrics_bytes(tmp_path, "fast", experiments)
+    with fifo_reference():
+        reference = _metrics_bytes(tmp_path, "fifo", experiments)
+    assert fast == reference
 
 
-def _batch_metrics_bytes(tmp_path, tag):
-    path = tmp_path / f"batch-metrics-{tag}.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = bench_main([
-            "fig3", "table1", "tournament",
-            "--quick", "--seed", "42", "--metrics", str(path),
-        ])
-    assert code == 0
-    return path.read_bytes()
-
-
-def test_metrics_byte_identical_with_batch_forced_off(tmp_path):
-    """The batch-equivalence rule (DESIGN.md §17): the burst layer on
-    its own — fast paths stay on — may not move a single byte of the
-    seeded --metrics document, fig3 through the policy-lab
-    tournament."""
-    with_batch = _batch_metrics_bytes(tmp_path, "on")
-    previous = set_batch(False)
-    try:
-        without_batch = _batch_metrics_bytes(tmp_path, "off")
-    finally:
-        set_batch(previous)
-    assert with_batch == without_batch
-
-
-def _campaign_summaries():
-    report = run_campaign(
-        scenarios=("writeback", "kv"),
-        seeds=(0,),
-        schedules=("random", "adversarial"),
-    )
-    assert report.ok
-    return report.summaries
-
-
-def test_campaign_unchanged_by_fastpath_switch_under_scheduler():
-    with_fastpath = _campaign_summaries()
-    previous = set_fastpath(False)
-    try:
-        without_fastpath = _campaign_summaries()
-    finally:
-        set_fastpath(previous)
-    assert with_fastpath == without_fastpath
-
-
-def _campaign_summaries_all_schedules():
-    report = run_campaign(
-        scenarios=("writeback",),
-        seeds=(0,),
-        schedules=tuple(sorted(SCHEDULES)),
-    )
-    assert report.ok
-    return report.summaries
-
-
-def test_campaign_unchanged_by_batch_switch_under_every_schedule():
-    """Every SchedulePolicy auto-disables the batch paths: a campaign
-    over the full SCHEDULES grid must not notice the switch."""
-    with_batch = _campaign_summaries_all_schedules()
-    previous = set_batch(False)
-    try:
-        without_batch = _campaign_summaries_all_schedules()
-    finally:
-        set_batch(previous)
-    assert with_batch == without_batch
+def test_metrics_byte_identical_with_batch_forced_off(
+    tmp_path, fifo_reference
+):
+    """The batch-equivalence rule (DESIGN.md §17): batch-window
+    cohorts may not move a single byte of the seeded --metrics
+    document, fig3 through the policy-lab tournament."""
+    experiments = ("fig3", "table1", "tournament")
+    fast = _metrics_bytes(tmp_path, "fast", experiments)
+    with fifo_reference():
+        reference = _metrics_bytes(tmp_path, "fifo", experiments)
+    assert fast == reference

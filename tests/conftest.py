@@ -3,11 +3,15 @@
 Every suite that needs a wired-up stack (env + uffd + ops + monitor +
 fabric) gets it from here — either by importing :func:`build_stack`
 directly (for module-level helpers that customize the config) or via
-the ``stack`` / ``stack_factory`` fixtures.
+the ``stack`` / ``stack_factory`` fixtures.  The ``fifo_reference``
+fixture gives the determinism pins their reference run.
 """
+
+import contextlib
 
 import pytest
 
+from repro.check.explorer import FifoSchedule
 from repro.core import FluidMemConfig, FluidMemoryPort, Monitor
 from repro.kernel import UffdLatency, UffdOps, Userfaultfd
 from repro.kv import DramStore, RamCloudServer, RamCloudStore
@@ -101,3 +105,27 @@ def stack_factory():
     """The :func:`build_stack` callable, for tests that need a custom
     config, seed, observability, or checker."""
     return build_stack
+
+
+@pytest.fixture
+def fifo_reference(monkeypatch):
+    """A context manager that installs :class:`FifoSchedule` on every
+    :class:`Environment` built inside it: the reference run.
+
+    Any schedule policy turns every engine fast path off, and FIFO
+    keeps the engine's native event order, so a seeded run inside the
+    context must reproduce the no-scheduler run byte for byte.
+    """
+    init = Environment.__init__
+
+    def init_with_fifo(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.scheduler = FifoSchedule()
+
+    @contextlib.contextmanager
+    def installed():
+        with monkeypatch.context() as patch:
+            patch.setattr(Environment, "__init__", init_with_fifo)
+            yield
+
+    return installed

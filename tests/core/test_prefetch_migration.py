@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import FluidMemConfig, Monitor, migrate_vm
 from repro.errors import FluidMemError
+from repro.faults import FaultKind, FaultPlan, FaultWindow, FaultyStore
 from repro.kernel import UffdLatency, UffdOps, Userfaultfd
+from repro.kv import DramStore
 from repro.mem import MIB, PAGE_SIZE, FrameAllocator
 from repro.sim import RandomStreams
 
@@ -198,6 +200,56 @@ def test_migrated_vm_faults_pages_back_with_data():
     # The destination resolved them as store reads, not zero pages.
     assert dest.counters["remote_reads"] == 12
     assert dest.counters["zero_page_faults"] == 0
+
+
+def test_migration_retries_transient_store_errors():
+    """Pushing the resident pages out is a synchronous eviction write:
+    a transient store error must be retried, never lose the page."""
+    stack = build_stack()
+    flaky_from, flaky_until = 1_000_000.0, 2_000_000.0
+    plan = FaultPlan(
+        [FaultWindow(FaultKind.FLAKY, "replica0", flaky_from, flaky_until,
+                     param=0.3)],
+        seed=0,
+    )
+    store = FaultyStore(stack.env, DramStore(stack.env), plan)
+    vm, qemu, port, registration = stack.make_vm(store=store,
+                                                 boot_pages=8)
+    base = vm.first_free_guest_addr()
+    pages = {}
+
+    def warm(env):
+        for index in range(16):
+            yield from port.access(base + index * PAGE_SIZE, is_write=True)
+            host = qemu.guest_to_host(base + index * PAGE_SIZE)
+            pages[index] = qemu.page_table.entry(host).page
+
+    stack.run(warm(stack.env))
+    assert stack.env.now < flaky_from
+    stack.env.run(until=flaky_from)
+    resident_before = qemu.page_table.present_pages
+
+    dest = make_second_monitor(stack)
+    report = migrate(stack, vm, registration, dest)
+    assert report.pages_pushed == resident_before
+    assert stack.monitor.counters["write_retries"] > 0
+    assert store.counters["transient_errors"] > 0
+    assert stack.monitor.buffer_table.present_pages == 0
+
+    # Read back once the store is healthy again: every page survived.
+    assert stack.env.now < flaky_until
+    stack.env.run(until=flaky_until)
+
+    def touch_after(env):
+        port = vm.require_port()
+        for index in range(16):
+            yield from port.access(base + index * PAGE_SIZE)
+            host = report.dest_qemu.guest_to_host(base + index * PAGE_SIZE)
+            assert report.dest_qemu.page_table.entry(host).page \
+                is pages[index]
+
+    stack.run(touch_after(stack.env))
+    assert dest.counters["remote_reads"] == 16
 
 
 def test_migration_rejects_same_monitor():

@@ -2,9 +2,10 @@
 
 The marketplace's invariants are only auditable if its runs are
 reproducible: the seed-42 quick ``market --metrics`` document must be
-byte-identical run over run, and identical again with the engine fast
-paths forced off (the PR 5 contract: fast paths may change wall-clock
-speed, never simulated results).  Every decision path in
+byte-identical run over run, and identical again in the reference run
+with ``FifoSchedule`` on every ``Environment``, which forces the engine
+fast paths off (fast paths may change wall-clock speed, never simulated
+results).  Every decision path in
 :mod:`repro.market` draws from named RNG streams and iterates sorted
 collections — this test is the tripwire for anyone who breaks that.
 """
@@ -13,7 +14,6 @@ import contextlib
 import io
 
 from repro.bench.cli import main as bench_main
-from repro.sim import set_fastpath
 
 
 def _metrics_bytes(tmp_path, tag):
@@ -32,14 +32,13 @@ def test_market_metrics_byte_identical_across_runs(tmp_path):
     assert first == second
 
 
-def test_market_metrics_byte_identical_with_fastpath_forced_off(tmp_path):
-    with_fastpath = _metrics_bytes(tmp_path, "on")
-    previous = set_fastpath(False)
-    try:
-        without_fastpath = _metrics_bytes(tmp_path, "off")
-    finally:
-        set_fastpath(previous)
-    assert with_fastpath == without_fastpath
+def test_market_metrics_byte_identical_with_fastpath_forced_off(
+    tmp_path, fifo_reference
+):
+    fast = _metrics_bytes(tmp_path, "fast")
+    with fifo_reference():
+        reference = _metrics_bytes(tmp_path, "fifo")
+    assert fast == reference
 
 
 def test_market_metrics_differ_across_seeds(tmp_path):

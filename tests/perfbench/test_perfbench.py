@@ -51,16 +51,12 @@ def test_bench_engine_rate_scales_with_events():
     assert rate > 0
 
 
-def test_bench_burst_resolve_runs_with_batch_on_and_off():
-    from repro.sim import set_batch
-
+def test_bench_burst_resolve_runs_with_batch_on_and_off(fifo_reference):
     assert bench_burst_resolve(ops=2_000) > 0
-    previous = set_batch(False)
-    try:
-        # The guarded primitives fall back granularly; still a rate.
+    with fifo_reference():
+        # The guarded primitives refuse under a schedule policy and the
+        # plain fallbacks stand in; still a rate.
         assert bench_burst_resolve(ops=2_000) > 0
-    finally:
-        set_batch(previous)
 
 
 def _document(engine=1_000_000.0, monitor=15_000.0, fig3=1.0,
@@ -208,13 +204,3 @@ def test_cli_compare_fails_on_regression(canned_suite, tmp_path):
     code, text = _run_cli(["--quick", "--compare", str(baseline)])
     assert code == 1
     assert "REGRESSION" in text
-
-
-def test_cli_no_fastpath_restores_the_switch(canned_suite):
-    from repro.sim import fastpath_enabled
-
-    before = fastpath_enabled()
-    code, text = _run_cli(["--quick", "--no-fastpath"])
-    assert code == 0
-    assert "fastpath off" in text
-    assert fastpath_enabled() == before

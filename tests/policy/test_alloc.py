@@ -1,5 +1,7 @@
 """Unit tests for the pluggable allocation policies."""
 
+import warnings
+
 import pytest
 
 from repro.errors import FluidMemError
@@ -240,3 +242,16 @@ def test_frame_allocator_fragmentation_telemetry():
     assert frag["used_frames"] == 5
     assert 0.0 < frag["occupancy"] <= 1.0
     assert frag["allocated_runs"] >= 2  # the hole at held[2] splits a run
+
+
+# ------------------------------------------------------- import paths
+
+
+def test_new_import_paths_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.core import SharePolicy as from_core
+        from repro.policy import SharePolicy as from_policy
+        from repro.policy.share import SharePolicy as from_share
+
+    assert from_core is from_policy is from_share

@@ -2,8 +2,8 @@
 
 Pins seed-42 ``web-diurnal --quick`` three ways: workers 1 vs workers
 4 byte-for-byte, against the committed baseline the CI
-``scenario-smoke`` job ``cmp``s, and the market template across
-partition counts.
+``scenario-smoke`` job ``cmp``s (with and without ``FifoSchedule``
+installed), and the market template across partition counts.
 """
 
 import contextlib
@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.scenario.cli import main as scenario_main
-from repro.sim import set_batch
 
 BASELINE = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir,
@@ -55,15 +54,15 @@ def test_web_diurnal_matches_committed_baseline(tmp_path):
         )
 
 
-def test_web_diurnal_batch_off_matches_committed_baseline(tmp_path):
-    """The burst layer may not move a scenario report either: with
-    ``set_batch(False)`` the quick seed-42 run must still reproduce the
-    committed baseline byte-for-byte (DESIGN.md §17)."""
-    previous = set_batch(False)
-    try:
-        report, _ = _run_report(tmp_path, "nobatch", "web-diurnal")
-    finally:
-        set_batch(previous)
+def test_web_diurnal_batch_off_matches_committed_baseline(
+    tmp_path, fifo_reference
+):
+    """The burst layer may not move a scenario report either: in the
+    reference run (``FifoSchedule`` on every ``Environment``, every fast
+    path off) the quick seed-42 run must still reproduce the committed
+    baseline byte-for-byte (DESIGN.md §17)."""
+    with fifo_reference():
+        report, _ = _run_report(tmp_path, "fifo", "web-diurnal")
     with open(BASELINE, "rb") as handle:
         assert report == handle.read()
 

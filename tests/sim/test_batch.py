@@ -1,58 +1,24 @@
 """Unit contracts for the burst-resolution layer (DESIGN.md §17).
 
 ``try_advance_batch`` / ``batch_window`` / ``Store.try_get_batch`` are
-the primitives the monitor's flat fault path stands on.  Every one of
-them must refuse to act — returning False/None and mutating nothing —
-unless it can prove equivalence to the granular path: both the
-fast-path and batch switches on, no schedule-exploration policy, and
-the heap shape that guarantees nothing else could have run.  The
-byte-identical ``--metrics`` pins live in
-``tests/bench/test_wallclock_determinism.py``; these are the unit-level
-guards.
+the primitives the monitor's fault path stands on.  Every one of them
+must refuse to act — returning False/None and mutating nothing —
+unless it can prove equivalence to the event-driven path: no
+schedule-exploration policy, and the heap shape that guarantees
+nothing else could have run.  The byte-identical ``--metrics`` pins
+live in ``tests/bench/test_wallclock_determinism.py``; these are the
+unit-level guards.
 """
 
 import pytest
 
 from repro.check.explorer import SCHEDULES
-from repro.sim import (
-    Environment,
-    Store,
-    batch_enabled,
-    set_batch,
-    set_fastpath,
-)
+from repro.sim import Environment, Store
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-@pytest.fixture
-def no_batch():
-    previous = set_batch(False)
-    yield
-    set_batch(previous)
-
-
-@pytest.fixture
-def no_fastpath():
-    previous = set_fastpath(False)
-    yield
-    set_fastpath(previous)
-
-
-# -- the switch itself -------------------------------------------------------
-
-
-def test_set_batch_returns_previous_state():
-    first = set_batch(False)
-    try:
-        assert not batch_enabled()
-        assert set_batch(True) is False
-        assert batch_enabled()
-    finally:
-        set_batch(first)
 
 
 # -- batch_window ------------------------------------------------------------
@@ -64,16 +30,6 @@ def test_batch_window_open_on_idle_env(env):
 
 def test_batch_window_closed_by_heap_entry(env):
     env.timeout(5.0)
-    assert not env.batch_window()
-
-
-def test_batch_window_closed_by_batch_switch(env, no_batch):
-    assert not env.batch_window()
-
-
-def test_batch_window_closed_by_fastpath_switch(env, no_fastpath):
-    # BATCH_ON layers on FASTPATH_ON: disabling the fast paths
-    # disables batching too.
     assert not env.batch_window()
 
 
@@ -122,16 +78,6 @@ def test_try_advance_batch_refuses_with_heap_entry(env):
     assert env.now == 0.0
 
 
-def test_try_advance_batch_refuses_when_batch_off(env, no_batch):
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
-def test_try_advance_batch_refuses_when_fastpath_off(env, no_fastpath):
-    assert not env.try_advance_batch(1.0)
-    assert env.now == 0.0
-
-
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_try_advance_batch_refuses_under_every_schedule_policy(env, name):
     env.scheduler = SCHEDULES[name](seed=0)
@@ -141,7 +87,7 @@ def test_try_advance_batch_refuses_under_every_schedule_policy(env, name):
 
 def test_cohort_accumulation_matches_granular_advances(env):
     """The absolute-target rule: accumulate in cohort order, commit
-    once — bit-identical to N granular try_advance calls."""
+    once — bit-identical to N per-member try_advance calls."""
     costs = [0.1, 0.2, 0.3, 0.07]
     granular = Environment()
     for cost in costs:
@@ -198,19 +144,6 @@ def test_try_get_batch_allows_future_heap_event(env):
     store.put_nowait("x")
     env.timeout(5.0)  # strictly later: the get's success fires first
     assert store.try_get_batch() == "x"
-
-
-def test_try_get_batch_refuses_when_batch_off(env, no_batch):
-    store = Store(env)
-    store.put_nowait("x")
-    assert store.try_get_batch() is None
-    assert list(store.items) == ["x"]  # untouched
-
-
-def test_try_get_batch_refuses_when_fastpath_off(env, no_fastpath):
-    store = Store(env)
-    store.put_nowait("x")
-    assert store.try_get_batch() is None
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))

@@ -12,27 +12,13 @@ contracts.
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (
-    Environment,
-    Event,
-    Resource,
-    Store,
-    fastpath_enabled,
-    set_fastpath,
-)
-from repro.check.explorer import FifoSchedule
+from repro.sim import Environment, Event, Resource, Store
+from repro.check.explorer import SCHEDULES, FifoSchedule
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-@pytest.fixture
-def no_fastpath():
-    previous = set_fastpath(False)
-    yield
-    set_fastpath(previous)
 
 
 # -- satellite bugfixes ------------------------------------------------------
@@ -133,12 +119,6 @@ def test_try_advance_refuses_negative_delta(env):
     assert not env.try_advance(-0.001)
 
 
-def test_try_advance_disabled_by_switch(env, no_fastpath):
-    assert not fastpath_enabled()
-    assert not env.try_advance(1.0)
-    assert env.now == 0.0
-
-
 def test_try_advance_disabled_under_scheduler(env):
     env.scheduler = FifoSchedule(seed=0)
     assert not env.try_advance(1.0)
@@ -162,15 +142,6 @@ def test_try_advance_respects_run_until_cap(env):
     assert env.now == 10.0
 
 
-def test_set_fastpath_returns_previous_state():
-    original = fastpath_enabled()
-    try:
-        assert set_fastpath(False) == original
-        assert set_fastpath(True) is False
-    finally:
-        set_fastpath(original)
-
-
 # -- pooling and ordering safety ---------------------------------------------
 
 
@@ -192,24 +163,23 @@ def test_pooled_timeouts_preserve_interleaving(env):
     assert env.now == 75.0
 
 
-def test_fastpath_off_produces_identical_timeline():
+def test_fastpath_off_produces_identical_timeline(fifo_reference):
     def workload(env, log):
         for step in range(20):
             yield env.timeout(1.0 + (step % 3) * 0.25)
             log.append(env.now)
 
-    timelines = []
-    for enabled in (True, False):
-        previous = set_fastpath(enabled)
-        try:
-            env = Environment()
-            log = []
-            env.process(workload(env, log))
-            env.run()
-            timelines.append((env.now, tuple(log)))
-        finally:
-            set_fastpath(previous)
-    assert timelines[0] == timelines[1]
+    def timeline():
+        env = Environment()
+        log = []
+        env.process(workload(env, log))
+        env.run()
+        return env.now, tuple(log)
+
+    fast = timeline()
+    with fifo_reference():
+        reference = timeline()
+    assert fast == reference
 
 
 # -- Resource.try_acquire ----------------------------------------------------
@@ -238,9 +208,13 @@ def test_try_acquire_refuses_when_full_or_queued(env):
     resource.release(waiter)
 
 
-def test_try_acquire_refuses_under_scheduler_or_switch(env, no_fastpath):
-    resource = Resource(env, capacity=1)
-    assert resource.try_acquire() is None
+def test_try_acquire_refuses_under_every_schedule_policy():
+    for name in sorted(SCHEDULES):
+        env = Environment()
+        env.scheduler = SCHEDULES[name](seed=0)
+        resource = Resource(env, capacity=1)
+        assert resource.try_acquire() is None, name
+        assert resource.count == 0
 
 
 def test_try_acquire_token_release_wakes_waiters(env):
