@@ -120,15 +120,6 @@ def _parser() -> argparse.ArgumentParser:
              + "); swap platforms are unaffected",
     )
     parser.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the market experiment's VM fleet over N processes "
-             "(repro.parallel); results are byte-identical at any N. "
-             "Other experiments run serially regardless",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -186,12 +177,6 @@ def _run_one(name: str, args) -> None:
         print(
             f"note: {name} {reason}; --faults {args.faults} has no "
             f"effect on it",
-            file=sys.stderr,
-        )
-    if args.partitions > 1 and name != "market":
-        print(
-            f"note: {name} runs serially; --partitions "
-            f"{args.partitions} only shards the market experiment",
             file=sys.stderr,
         )
     if args.workers > 1 and name != "tournament":
@@ -286,7 +271,6 @@ def _run_one(name: str, args) -> None:
             fleet_scale=2 if quick else 4,
             ticks=30 if quick else 90,
             seed=seed,
-            partitions=args.partitions,
         )
         print(result.table_text())
         _maybe_csv(args.csv, "market",
@@ -376,8 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _validate_faults(parser, args.faults)
     if args.profile is not None and args.profile < 1:
         parser.error("--profile needs a positive function count")
-    if args.partitions < 1:
-        parser.error("--partitions needs a positive process count")
     if args.workers < 1:
         parser.error("--workers needs a positive process count")
     targets = _expand_targets(args.experiment)

@@ -15,6 +15,10 @@ on **every** run of this experiment, quick or full: the marketplace's
 headline claims (granted <= harvested, no double-grant, leases freed
 on VM death) are executable, not asserted.  Same seed, same bytes —
 the experiment joins the CI determinism pin alongside ``cluster``.
+
+The whole fleet runs in one process on one
+:class:`~repro.sim.Environment`, driven by
+:meth:`~repro.market.MarketFleet.run`, the market's only tick protocol.
 """
 
 from __future__ import annotations
@@ -184,7 +188,6 @@ def run_market(
     ticks: int = 90,
     seed: int = 42,
     chaos: bool = True,
-    partitions: int = 1,
 ) -> MarketResult:
     obs = default_observability()
     # The checker is NOT optional here — every run audits the ledger.
@@ -194,16 +197,6 @@ def run_market(
     plan = (
         market_chaos_plan(specs, seed, ticks, tick_us) if chaos else None
     )
-    harvest_config = HarvestConfig(
-        interval_us=3 * tick_us,
-        spike_rate_per_ms=1.0,
-        calm_rate_per_ms=0.4,
-    )
-    if partitions > 1:
-        return _run_market_partitioned(
-            specs, seed, ticks, tick_us, partitions, plan,
-            harvest_config, obs, check,
-        )
     env = Environment()
     streams = RandomStreams(derive_seed(seed, "market"))
     broker = Broker(env, obs=obs, check=check)
@@ -211,7 +204,11 @@ def run_market(
     fleet = MarketFleet(
         env, specs, streams, broker, qos,
         fault_plan=plan,
-        harvest_config=harvest_config,
+        harvest_config=HarvestConfig(
+            interval_us=3 * tick_us,
+            spike_rate_per_ms=1.0,
+            calm_rate_per_ms=0.4,
+        ),
         obs=obs,
     )
     proc = env.process(
@@ -221,53 +218,6 @@ def run_market(
     if not proc.ok:  # pragma: no cover - surfaced to the caller
         raise proc.value
 
-    return _assemble_result(
-        summary=fleet.tenant_summary(),
-        ticks=ticks,
-        broker_counters=dict(broker.counters.as_dict()),
-        lease_rejections=fleet.lease_rejections,
-        vm_crashes=fleet.counters.as_dict().get("vm_crashes", 0),
-        total_vms=len(fleet.vms),
-        spot_price_final=broker.spot_price(),
-        obs=obs,
-        check=check,
-    )
-
-
-def _run_market_partitioned(
-    specs, seed, ticks, tick_us, partitions, plan, harvest_config,
-    obs, check,
-) -> MarketResult:
-    """The sharded path: same books, N processes, identical bytes."""
-    from ..parallel.fleet import run_partitioned_market
-
-    outcome = run_partitioned_market(
-        specs, seed, ticks,
-        tick_us=tick_us,
-        market_every=3,
-        partitions=partitions,
-        fault_plan=plan,
-        harvest_config=harvest_config,
-        obs=obs,
-        check=check,
-    )
-    return _assemble_result(
-        summary=outcome["summary"],
-        ticks=ticks,
-        broker_counters=outcome["broker_counters"],
-        lease_rejections=outcome["lease_rejections"],
-        vm_crashes=outcome["vm_crashes"],
-        total_vms=outcome["total_vms"],
-        spot_price_final=outcome["spot_price_final"],
-        obs=obs,
-        check=check,
-    )
-
-
-def _assemble_result(
-    summary, ticks, broker_counters, lease_rejections, vm_crashes,
-    total_vms, spot_price_final, obs, check,
-) -> MarketResult:
     rows = [
         MarketRow(
             tenant=name,
@@ -282,7 +232,7 @@ def _assemble_result(
             swap_faults=stats["swap_faults"],
             deaths=stats["deaths"],
         )
-        for name, stats in summary.items()
+        for name, stats in fleet.tenant_summary().items()
     ]
     if obs.enabled:
         registry = obs.registry
@@ -290,17 +240,20 @@ def _assemble_result(
             registry.gauge(
                 "tenant_slo_violations_total", tenant=row.tenant
             ).set(row.violations)
-        registry.gauge("market_lease_rejections").set(lease_rejections)
+        registry.gauge("market_lease_rejections").set(
+            fleet.lease_rejections
+        )
+    broker_counters = broker.counters.as_dict()
     return MarketResult(
         rows_data=rows,
-        total_vms=total_vms,
+        total_vms=len(fleet.vms),
         ticks=ticks,
         pages_offered=broker_counters.get("pages_offered", 0),
         pages_granted=broker_counters.get("pages_granted", 0),
         grants=broker_counters.get("grants", 0),
         revocations=broker_counters.get("revocations", 0),
-        lease_rejections=lease_rejections,
-        vm_crashes=vm_crashes,
-        spot_price_final=spot_price_final,
+        lease_rejections=fleet.lease_rejections,
+        vm_crashes=fleet.counters.as_dict().get("vm_crashes", 0),
+        spot_price_final=broker.spot_price(),
         invariant_violations=len(check.violations),
     )

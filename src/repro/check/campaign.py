@@ -248,7 +248,7 @@ def report_json(report: CampaignReport) -> str:
     Sorted keys, fixed indentation, no timing or host information, and
     — critically — nothing about how many workers produced it: the
     bytes depend only on the grid and its outcomes, which is what the
-    CI ``parallel-determinism`` job diffs.
+    CI ``campaign-workers`` job diffs.
     """
     doc = {
         "schema": "repro-check-report/1",

@@ -19,8 +19,11 @@ reclaimed DRAM is a *sellable commodity*.  Three cooperating parts:
   revocation order.
 
 :mod:`.fleet` scales the three to hundreds of lightweight VMs on one
-deterministic timeline — the substrate of the ``market`` bench
-experiment (``python -m repro.bench market``).
+deterministic timeline in one process — the substrate of the
+``market`` bench experiment (``python -m repro.bench market``).
+:meth:`MarketFleet.run` is the market's only tick protocol: chaos,
+access ticks, then every few ticks a market round (harvest, lease,
+QoS evaluation) audited against the broker's shadow ledger.
 """
 
 from .broker import Broker, Lease, SpotPricing

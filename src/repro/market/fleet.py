@@ -59,10 +59,6 @@ __all__ = [
     "REMOTE_FAULT_US",
     "SWAP_FAULT_US",
     "MIN_CONSUMER_DEMAND_PAGES",
-    "apply_chaos",
-    "build_tenant_vms",
-    "consumer_demand",
-    "summarize_tenants",
 ]
 
 #: Modeled fault-service latencies (µs).  A first touch is a zero-fill;
@@ -289,90 +285,6 @@ class MarketVM:
         )
 
 
-def build_tenant_vms(
-    env: Environment, spec: TenantSpec, streams: RandomStreams
-) -> List[MarketVM]:
-    """The VMs of one tenant, named ``<tenant>-NNN``.
-
-    Each VM's RNG stream is derived from its *name*, not from draw
-    order, so any subset of tenants built in any process replays the
-    exact access streams of the full serial fleet.
-    """
-    vms = []
-    for index in range(spec.vms):
-        name = f"{spec.name}-{index:03d}"
-        vms.append(MarketVM(env, name, spec, streams.stream(f"vm:{name}")))
-    return vms
-
-
-def apply_chaos(
-    plan: FaultPlan,
-    now: float,
-    vms: List[MarketVM],
-    harvesters: Dict[str, Harvester],
-    counters,
-    on_death,
-) -> None:
-    """One tick of the fleet chaos convention over ``vms`` in order.
-
-    CRASH windows fail-stop the VM (``on_death(name)`` tells the
-    ledger's owner — the broker in the serial fleet, the coordinator's
-    pipe in a sharded run); ``surge:<name>`` SLOW windows toggle the
-    demand surge.  A crashed producer's harvester gets its fault
-    baseline re-synced so the post-reboot rate estimate is not negative.
-    """
-    for vm in vms:
-        crashed = plan.is_crashed(vm.name, now)
-        if crashed and not vm.dead:
-            vm.crash()
-            on_death(vm.name)
-            harvester = harvesters.get(vm.name)
-            if harvester is not None:
-                harvester._last_faults = vm.stats.faults
-            counters.incr("vm_crashes")
-        elif not crashed and vm.dead:
-            vm.reboot()
-            counters.incr("vm_reboots")
-        vm.surging = plan.extra_latency_us(f"surge:{vm.name}", now) > 0
-
-
-def consumer_demand(vm: MarketVM) -> Optional[int]:
-    """Pages this VM wants from the market this round, or ``None``.
-
-    ``None`` for dead VMs, producers, and shortfalls under
-    :data:`MIN_CONSUMER_DEMAND_PAGES`.
-    """
-    if vm.dead or vm.spec.role != "consumer":
-        return None
-    shortfall = vm.remote_shortfall()
-    if shortfall < MIN_CONSUMER_DEMAND_PAGES:
-        return None
-    return min(shortfall, vm.spec.lease_request_cap)
-
-
-def summarize_tenants(
-    specs: List[TenantSpec], vms: List[MarketVM], qos: QosManager
-) -> Dict[str, Dict[str, object]]:
-    """Per-tenant aggregates for the bench table, in spec order."""
-    summary: Dict[str, Dict[str, object]] = {}
-    for spec in specs:
-        tenant_vms = [vm for vm in vms if vm.spec is spec]
-        summary[spec.name] = {
-            "role": spec.role,
-            "vms": len(tenant_vms),
-            "priority": spec.slo.priority,
-            "slo_us": spec.slo.p99_fault_latency_us,
-            "p99_us": qos.last_p99.get(spec.name, 0.0),
-            "violations": qos.violation_counts.get(spec.name, 0),
-            "faults": sum(vm.stats.faults for vm in tenant_vms),
-            "hits": sum(vm.stats.hits for vm in tenant_vms),
-            "remote_hits": sum(vm.stats.remote_hits for vm in tenant_vms),
-            "swap_faults": sum(vm.stats.swap_faults for vm in tenant_vms),
-            "deaths": sum(vm.stats.deaths for vm in tenant_vms),
-        }
-    return summary
-
-
 class MarketFleet:
     """Drives the whole marketplace: VMs, harvesters, broker, QoS."""
 
@@ -403,11 +315,13 @@ class MarketFleet:
                 raise MarketError(f"duplicate tenant name {spec.name!r}")
             names.add(spec.name)
             self.qos.register(spec.name, spec.slo)
-            for vm in build_tenant_vms(env, spec, streams):
+            for index in range(spec.vms):
+                name = f"{spec.name}-{index:03d}"
+                vm = MarketVM(env, name, spec, streams.stream(f"vm:{name}"))
                 self.vms.append(vm)
                 if spec.role == "producer":
-                    self.harvesters[vm.name] = Harvester(
-                        env, vm.name, vm, broker,
+                    self.harvesters[name] = Harvester(
+                        env, name, vm, broker,
                         config=harvest_config, obs=self.obs,
                     )
         self._by_name = {vm.name: vm for vm in self.vms}
@@ -425,13 +339,30 @@ class MarketFleet:
     # -- chaos --------------------------------------------------------------------------
 
     def _apply_chaos(self) -> None:
+        """One tick of the fleet chaos convention, in VM order.
+
+        CRASH windows fail-stop the VM and tear down its leases;
+        ``surge:<name>`` SLOW windows toggle the demand surge.  A
+        crashed producer's harvester gets its fault baseline re-synced
+        so the post-reboot rate estimate is not negative.
+        """
         plan = self.fault_plan
         if plan is None:
             return
-        apply_chaos(
-            plan, self.env.now, self.vms, self.harvesters,
-            self.counters, self.broker.vm_died,
-        )
+        now = self.env.now
+        for vm in self.vms:
+            crashed = plan.is_crashed(vm.name, now)
+            if crashed and not vm.dead:
+                vm.crash()
+                self.broker.vm_died(vm.name)
+                harvester = self.harvesters.get(vm.name)
+                if harvester is not None:
+                    harvester._last_faults = vm.stats.faults
+                self.counters.incr("vm_crashes")
+            elif not crashed and vm.dead:
+                vm.reboot()
+                self.counters.incr("vm_reboots")
+            vm.surging = plan.extra_latency_us(f"surge:{vm.name}", now) > 0
 
     # -- market round -----------------------------------------------------------------
 
@@ -442,12 +373,14 @@ class MarketFleet:
             if not harvester.target.dead:
                 yield from harvester.tick()
         for vm in self.vms:
-            want = consumer_demand(vm)
-            if want is None:
+            if vm.dead or vm.spec.role != "consumer":
+                continue
+            shortfall = vm.remote_shortfall()
+            if shortfall < MIN_CONSUMER_DEMAND_PAGES:
                 continue
             lease = self.broker.request(
                 vm.name,
-                want,
+                min(shortfall, vm.spec.lease_request_cap),
                 max_price_per_page=vm.spec.max_price,
                 priority=vm.spec.slo.priority,
             )
@@ -510,8 +443,29 @@ class MarketFleet:
     # -- reporting ----------------------------------------------------------------------
 
     def tenant_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant aggregates for the bench table."""
-        return summarize_tenants(self.specs, self.vms, self.qos)
+        """Per-tenant aggregates for the bench table, in spec order."""
+        qos = self.qos
+        summary: Dict[str, Dict[str, object]] = {}
+        for spec in self.specs:
+            tenant_vms = [vm for vm in self.vms if vm.spec is spec]
+            summary[spec.name] = {
+                "role": spec.role,
+                "vms": len(tenant_vms),
+                "priority": spec.slo.priority,
+                "slo_us": spec.slo.p99_fault_latency_us,
+                "p99_us": qos.last_p99.get(spec.name, 0.0),
+                "violations": qos.violation_counts.get(spec.name, 0),
+                "faults": sum(vm.stats.faults for vm in tenant_vms),
+                "hits": sum(vm.stats.hits for vm in tenant_vms),
+                "remote_hits": sum(
+                    vm.stats.remote_hits for vm in tenant_vms
+                ),
+                "swap_faults": sum(
+                    vm.stats.swap_faults for vm in tenant_vms
+                ),
+                "deaths": sum(vm.stats.deaths for vm in tenant_vms),
+            }
+        return summary
 
     def __repr__(self) -> str:
         return (

@@ -13,8 +13,9 @@ the same market.  This module is the enforcement arm:
   the current evaluation window, computes windowed p99s on
   :meth:`evaluate`, counts SLO violations (``slo_violations{tenant=}``
   in :mod:`repro.obs`), and converts protected-tier violations into a
-  throttle penalty charged to spot tenants' remote faults — shedding
-  the load that is squeezing the tenants with contracts.
+  throttle penalty charged to spot tenants' refaults (remote and swap
+  faults alike; first-touch zero-fills are not charged) — shedding the
+  load that is squeezing the tenants with contracts.
 
 Everything is deterministic: windows are plain lists, p99 is the
 nearest-rank statistic on a sorted copy, throttles move in fixed
@@ -63,8 +64,8 @@ def _p99(samples: List[float]) -> float:
 class QosManager:
     """Windowed SLO evaluation and spot-tenant throttling."""
 
-    #: First throttle step charged per remote fault of a spot tenant
-    #: while a protected tenant is violating (µs).
+    #: First throttle step charged per remote or swap fault of a spot
+    #: tenant while a protected tenant is violating (µs).
     BASE_THROTTLE_US = 25.0
     #: Throttle ceiling — beyond this, shedding more spot traffic
     #: cannot help and only distorts the spot tenants' own latencies.
@@ -137,7 +138,7 @@ class QosManager:
             ).observe(latency_us)
 
     def throttle_delay_us(self, tenant: str) -> float:
-        """Extra delay charged to this tenant's next remote fault."""
+        """Extra delay charged to this tenant's remote and swap faults."""
         slo = self._slos.get(tenant)
         if slo is None or slo.priority > 0:
             return 0.0
@@ -151,25 +152,6 @@ class QosManager:
         Returns the per-tenant windowed p99 map (tenants with no
         faults this window are absent — no faults cannot violate a
         fault-latency SLO).
-
-        Split into :meth:`close_windows` (per-tenant, shardable) and
-        :meth:`apply_throttle_decision` (fleet-global) so a partitioned
-        runner can evaluate local tenants in each shard, combine the
-        protected-violating verdicts, and replay the identical throttle
-        trajectory everywhere.
-        """
-        p99s, protected_violating = self.close_windows()
-        self.apply_throttle_decision(protected_violating)
-        self.p99_history.append(dict(p99s))
-        return p99s
-
-    def close_windows(self) -> "tuple[Dict[str, float], bool]":
-        """Phase 1 of :meth:`evaluate`: per-tenant p99s and violations.
-
-        Touches only per-tenant state (windows, violation counts, the
-        per-tenant ``slo_violations`` counter); the one fleet-wide
-        output — whether any protected tenant violated — is *returned*,
-        not applied, so shards can vote before the throttle moves.
         """
         self.windows_evaluated += 1
         p99s: Dict[str, float] = {}
@@ -195,14 +177,6 @@ class QosManager:
                         "slo_violations", tenant=tenant
                     ).inc()
             self._window[tenant] = []
-        return p99s, protected_violating
-
-    def apply_throttle_decision(self, protected_violating: bool) -> None:
-        """Phase 2 of :meth:`evaluate`: the global throttle update.
-
-        ``protected_violating`` must be the OR across *every* tenant in
-        the fleet (all shards), or throttle trajectories diverge.
-        """
         if protected_violating:
             self._throttle_us = min(
                 self.MAX_THROTTLE_US,
@@ -218,6 +192,8 @@ class QosManager:
             self.obs.registry.gauge("qos_spot_throttle_us").set(
                 self._throttle_us
             )
+        self.p99_history.append(dict(p99s))
+        return p99s
 
     def total_violations(self) -> int:
         return sum(self.violation_counts.values())

@@ -7,7 +7,6 @@ from .transports import (
     RDMA_FDR,
     TRANSPORTS,
     TransportSpec,
-    min_transport_latency_us,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "IPOIB",
     "ETHERNET_10G",
     "TRANSPORTS",
-    "min_transport_latency_us",
 ]

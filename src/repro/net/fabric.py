@@ -79,21 +79,6 @@ class Fabric:
     def _key(a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
-    def lookahead_us(self, nbytes: int = 0) -> float:
-        """Conservative lookahead bound across every link on this fabric.
-
-        The smallest latency any configured transport can possibly
-        deliver for an ``nbytes`` message — the safe-advance window for
-        a parallel runner sharding hosts of this fabric across
-        processes.  Raises :class:`~repro.errors.NetworkError` when the
-        fabric has no links (no bound exists).
-        """
-        if not self._links:
-            raise NetworkError("fabric has no links; no lookahead bound")
-        return min(
-            spec.min_one_way_us(nbytes) for spec in self._links.values()
-        )
-
     # -- latency sampling ----------------------------------------------------
 
     def sample_one_way(self, src: str, dst: str, nbytes: int) -> float:

@@ -30,7 +30,6 @@ __all__ = [
     "IPOIB",
     "ETHERNET_10G",
     "TRANSPORTS",
-    "min_transport_latency_us",
 ]
 
 
@@ -63,22 +62,6 @@ class TransportSpec:
             raise ValueError(f"negative message size {nbytes}")
         bits = nbytes * 8
         return bits / (self.bandwidth_gbps * 1000.0)  # Gb/s -> bits/µs
-
-    def min_one_way_us(self, nbytes: int = 0) -> float:
-        """A hard lower bound on :meth:`one_way_us` for ``nbytes``.
-
-        The jitter tail is a lognormal variate — strictly positive — so
-        propagation + software cost + serialization is never undercut.
-        This is the *lookahead* a conservative parallel-simulation
-        runner may rely on: no message sent at time ``t`` over this
-        transport can affect a remote partition before
-        ``t + min_one_way_us()``.
-        """
-        return (
-            self.propagation_us
-            + self.per_message_us
-            + self.serialization_us(nbytes)
-        )
 
     def one_way_us(self, nbytes: int, rng: random.Random) -> float:
         """Sample the one-way latency for an ``nbytes`` message."""
@@ -144,19 +127,3 @@ TRANSPORTS = {
     spec.name: spec for spec in (RDMA_FDR, IPOIB, ETHERNET_10G)
 }
 
-
-def min_transport_latency_us(
-    transports=None, nbytes: int = 0
-) -> float:
-    """The smallest one-way latency any given transport can deliver.
-
-    With no argument, the bound covers every modeled transport — the
-    global conservative *lookahead* for cross-partition messages (see
-    :mod:`repro.parallel.windows`): the fastest possible message is an
-    empty RDMA verb, so two sharded simulation partitions can never
-    influence each other sooner than this many simulated microseconds.
-    """
-    chosen = list(TRANSPORTS.values() if transports is None else transports)
-    if not chosen:
-        raise ValueError("need at least one transport for a bound")
-    return min(spec.min_one_way_us(nbytes) for spec in chosen)

@@ -210,27 +210,6 @@ class Histogram:
             out.append(running)
         return tuple(out)
 
-    def export_state(self) -> Dict[str, object]:
-        """Picklable snapshot: edges, bucket counts, recorder state."""
-        return {
-            "edges": list(self.edges),
-            "bucket_counts": list(self._bucket_counts),
-            "recorder": self._recorder.export_state(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Install a state exported by :meth:`export_state` (fresh only)."""
-        if self.count:
-            raise FluidMemError(
-                f"cannot restore state onto non-empty histogram {self.key!r}"
-            )
-        if tuple(float(e) for e in state["edges"]) != self.edges:
-            raise FluidMemError(
-                f"histogram {self.key!r}: bucket edges differ from state"
-            )
-        self._bucket_counts = [int(c) for c in state["bucket_counts"]]
-        self._recorder.restore_state(state["recorder"])
-
     def summary(self, ndigits: int = 4) -> Dict[str, object]:
         """The snapshot row: op count plus the tracked percentiles."""
         return {
@@ -324,74 +303,6 @@ class MetricsRegistry:
         return histogram
 
     # -- export -------------------------------------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """Picklable full-fidelity dump for cross-process merging.
-
-        Unlike :meth:`snapshot` (rounded summaries for humans and JSON
-        baselines), this carries exact counter/gauge values and complete
-        histogram state, so a registry populated in a worker process can
-        be folded into the parent's via :meth:`merge_state` without any
-        loss — the merged :meth:`snapshot` is byte-identical to the one
-        a single-process run would have produced.
-        """
-        return {
-            "counters": {
-                key: self._counters[key].value
-                for key in sorted(self._counters)
-            },
-            "gauges": {
-                key: self._gauges[key].value
-                for key in sorted(self._gauges)
-            },
-            "histograms": {
-                key: self._histograms[key].export_state()
-                for key in sorted(self._histograms)
-            },
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold a :meth:`export_state` dump into this registry.
-
-        Counters add; gauges overwrite (merge partitions in a fixed
-        order so the last write is deterministic).  A histogram key not
-        yet present is installed exactly, truncation and all; a key
-        already present is merged by re-observing the source's raw
-        samples in order, which is only exact while the source retained
-        every sample — a truncated source merging into an existing key
-        raises rather than silently dropping data.
-        """
-        if not self.enabled:
-            return
-        for key, value in state["counters"].items():
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = Counter(key)
-            counter.inc(value)
-        for key, value in state["gauges"].items():
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                gauge = self._gauges[key] = Gauge(key)
-            gauge.set(value)
-        for key, hist_state in state["histograms"].items():
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = Histogram(
-                    key,
-                    edges=tuple(hist_state["edges"]),
-                    max_samples=self._max_samples,
-                )
-                histogram.restore_state(hist_state)
-                continue
-            recorder_state = hist_state["recorder"]
-            samples = recorder_state["samples"]
-            if len(samples) != recorder_state["count"]:
-                raise FluidMemError(
-                    f"histogram {key!r}: source dropped raw samples; "
-                    "cannot merge into an existing histogram exactly"
-                )
-            for value in samples:
-                histogram.observe(value)
 
     def snapshot(self) -> Dict[str, object]:
         """Deterministic dict of everything recorded (sorted keys)."""

@@ -1,38 +1,17 @@
 """Multi-core execution layer (DESIGN.md §14).
 
-Two independent facilities, one determinism contract:
+One facility, one determinism contract: :func:`run_tasks`, a
+multiprocess work-queue for embarrassingly parallel grids
+(``repro.check`` campaigns, ``repro.perfbench`` seed sweeps, the
+policy tournament and the scenario fleet engine).  Results merge in
+task-key order, never completion order, so the output is
+byte-identical at any worker count, and ``workers=1`` *is* the serial
+path.
 
-* :func:`run_tasks` — a multiprocess work-queue for embarrassingly
-  parallel grids (``repro.check`` campaigns, ``repro.perfbench`` seed
-  sweeps).  Results merge in task-key order, never completion order.
-* :func:`run_partitioned_market` — a sharded fleet runner that splits
-  the market fleet by tenant group across processes and synchronizes
-  them on conservative time windows sized from the
-  :mod:`repro.net` transport lookahead bound.
-
-Both guarantee: the parallel output is byte-identical to the serial
-path at any worker/partition count, and ``workers=1`` /
-``partitions=1`` *is* the serial path.
+The market fleet is not sharded: :meth:`repro.market.MarketFleet.run`
+is its only tick protocol, in one process.
 """
 
 from .pool import PoolStats, run_tasks
-from .windows import conservative_window_us, partition_seed
 
-__all__ = [
-    "PoolStats",
-    "run_tasks",
-    "conservative_window_us",
-    "partition_seed",
-    "run_partitioned_market",
-]
-
-
-def run_partitioned_market(*args, **kwargs):
-    """Lazy re-export of :func:`repro.parallel.fleet.run_partitioned_market`.
-
-    Imported on first call so that ``import repro.parallel`` does not
-    drag in the market fleet stack.
-    """
-    from .fleet import run_partitioned_market as _impl
-
-    return _impl(*args, **kwargs)
+__all__ = ["PoolStats", "run_tasks"]

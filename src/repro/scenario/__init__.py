@@ -19,8 +19,8 @@ campaign CLI::
 Every run emits a ``repro-scenario-metrics/1`` KPI report and, on
 request, a replayable ``chrome://tracing`` trace via the existing
 :mod:`repro.obs` tracer.  Runs are determinism-pinned: identical
-scenario + seed produce a byte-identical report at any ``--workers`` /
-``--partitions`` count.
+scenario + seed produce a byte-identical report at any ``--workers``
+count.
 """
 
 from __future__ import annotations

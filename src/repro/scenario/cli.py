@@ -117,9 +117,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, metavar="N",
                      help="fan fleet scenarios over N processes; "
                           "reports are byte-identical at any N")
-    run.add_argument("--partitions", type=int, default=1, metavar="N",
-                     help="shard market scenarios over N processes; "
-                          "reports are byte-identical at any N")
     run.add_argument("--report", metavar="PATH", default=None,
                      help="write the repro-scenario-metrics/1 KPI "
                           "report as JSON")
@@ -207,7 +204,6 @@ def _cmd_run(args) -> int:
         scenario,
         quick=args.quick,
         workers=args.workers,
-        partitions=args.partitions,
     )
     _print_report(outcome.report)
     if args.report is not None:
@@ -241,8 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "run":
         if args.workers < 1:
             parser.error("--workers needs a positive process count")
-        if args.partitions < 1:
-            parser.error("--partitions needs a positive process count")
     try:
         if args.command == "list":
             return _cmd_list()

@@ -11,16 +11,16 @@ Each scenario kind maps onto an existing engine:
 ``cluster``
     :func:`repro.bench.cluster_scaleout.run_cluster`.
 ``market``
-    :func:`repro.bench.market_fleet.run_market` (``--partitions``
-    shards the fleet; the broker's invariant audit always runs).
+    :func:`repro.bench.market_fleet.run_market`, in one process (the
+    broker's invariant audit always runs).
 ``fleet``
     the scenario-owned engine in :mod:`repro.scenario.workloads`,
     fanned out over :func:`repro.parallel.run_tasks` (``--workers``).
 
 The outcome's ``report`` is the ``repro-scenario-metrics/1`` document:
 scenario identity, flat KPIs, and per-group breakdowns.  Nothing in it
-depends on wall-clock time, worker count, or partition count — that is
-the byte-identity contract the tests pin.
+depends on wall-clock time or worker count — that is the byte-identity
+contract the tests pin.
 """
 
 from __future__ import annotations
@@ -188,9 +188,7 @@ def _run_cluster(
 # market
 # ---------------------------------------------------------------------------
 
-def _run_market(
-    scenario: Scenario, quick: bool, partitions: int
-) -> Dict[str, object]:
+def _run_market(scenario: Scenario, quick: bool) -> Dict[str, object]:
     from ..bench.market_fleet import run_market
 
     spec = scenario.market
@@ -199,7 +197,6 @@ def _run_market(
         ticks=spec.quick_ticks if quick else spec.ticks,
         seed=scenario.seed,
         chaos=spec.chaos,
-        partitions=partitions,
     )
     report = _base_report(scenario, quick)
     report["kpis"] = {
@@ -348,14 +345,13 @@ def run_scenario(
     scenario: Scenario,
     quick: bool = False,
     workers: int = 1,
-    partitions: int = 1,
     obs: Optional[Observability] = None,
 ) -> ScenarioOutcome:
     """Run one scenario and assemble its KPI report.
 
     ``workers`` parallelizes ``fleet`` scenarios over the process pool;
-    ``partitions`` shards ``market`` scenarios.  Both are execution
-    details: the report is byte-identical at any value.
+    it is an execution detail: the report is byte-identical at any
+    value.  Every other kind runs in this process.
     """
     from ..bench.platform import (
         default_observability,
@@ -380,7 +376,7 @@ def run_scenario(
         elif scenario.kind == "cluster":
             report = _run_cluster(scenario, quick)
         elif scenario.kind == "market":
-            report = _run_market(scenario, quick, partitions)
+            report = _run_market(scenario, quick)
         else:
             report = _run_fleet(scenario, quick, workers, tracer)
     finally:

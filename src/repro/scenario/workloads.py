@@ -7,7 +7,9 @@ windows) all come from the scenario document — no per-workload Python.
 Each VM keeps its resident pages on a real kernel
 :class:`~repro.kernel.ActiveInactiveLists` (the same aging mechanism
 :mod:`repro.market` fleets use), so hit rates emerge from second-chance
-reclaim rather than being declared.
+reclaim rather than being declared, and faults are charged the market
+fleet's modeled latencies (``FIRST_TOUCH_US`` and ``SWAP_FAULT_US``,
+defined once in :mod:`repro.market.fleet`).
 
 Determinism is the contract.  A VM's RNG is derived from its *name*
 (``derive_seed(seed, "vm:<name>")``), its chaos windows from
@@ -26,14 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation
 from ..kernel import ActiveInactiveLists
+from ..market.fleet import FIRST_TOUCH_US, SWAP_FAULT_US
 from ..mem import PAGE_SIZE, Page
 from ..sim import derive_seed
 from ..workloads.ycsb import ZipfianGenerator
 from .schema import FleetChaosSpec, FleetSpec, FleetTenantSpec
 
 __all__ = [
-    "FIRST_TOUCH_US",
-    "SWAP_FAULT_US",
     "LATENCY_BUCKETS_US",
     "FleetVM",
     "fleet_vm_names",
@@ -42,11 +43,6 @@ __all__ = [
     "merge_block_results",
     "histogram_percentile",
 ]
-
-#: Modeled fault latencies (µs), matching the market fleet's scale:
-#: a first touch is a zero-fill, a refault pays the far-memory path.
-FIRST_TOUCH_US = 4.0
-SWAP_FAULT_US = 150.0
 
 #: Per-tick fault queueing: every earlier fault in the same tick adds
 #: 2% service delay, capped at 4x — a deterministic stand-in for fault

@@ -707,12 +707,12 @@ class Environment:
     def sync_to(self, time: float) -> None:
         """Set the clock to the **absolute** time ``time`` (µs).
 
-        The synchronization primitive of the sharded fleet runner
-        (``repro.parallel.fleet``): after a barrier, every partition's
-        environment is snapped to the coordinator's clock so the next
-        window starts from bit-identical ``now`` values.  Like
-        :meth:`advance`, it is only legal when the jump skips no
-        scheduled event; going backwards is never legal.
+        The fallback commit for a locally accumulated clock: when
+        :meth:`try_advance_batch` refuses, the monitor's fault path and
+        the perfbench burst loop jump to their in-order sum here, so the
+        clock lands on the same float.  Like :meth:`advance`, it is only
+        legal when the jump skips no scheduled event; going backwards is
+        never legal.
         """
         if time < self._now:
             raise SimulationError(

@@ -188,44 +188,6 @@ class LatencyRecorder:
         """Retained raw samples (all of them unless ``max_samples`` hit)."""
         return tuple(self._samples)
 
-    def export_state(self) -> Dict[str, object]:
-        """Picklable snapshot of the full recorder state.
-
-        Includes the running accumulators alongside the retained raw
-        samples, so a recorder whose retention hit ``max_samples`` can
-        still be moved between processes without losing the exact
-        count/mean/stdev.  Not JSON-safe (``min``/``max`` may be
-        infinite on an empty recorder); intended for pickle transport.
-        """
-        return {
-            "samples": list(self._samples),
-            "count": self._count,
-            "sum": self._sum,
-            "welford_mean": self._welford_mean,
-            "welford_m2": self._welford_m2,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Install a state exported by :meth:`export_state`.
-
-        Only valid on a recorder that has not seen any samples yet —
-        merging two live recorders exactly is not possible once either
-        has dropped raw samples.
-        """
-        if self._count:
-            raise ValueError(
-                f"cannot restore state onto non-empty recorder {self.name!r}"
-            )
-        self._samples = [float(v) for v in state["samples"]]
-        self._count = int(state["count"])
-        self._sum = float(state["sum"])
-        self._welford_mean = float(state["welford_mean"])
-        self._welford_m2 = float(state["welford_m2"])
-        self._min = float(state["min"])
-        self._max = float(state["max"])
-
     def summary(self) -> Dict[str, float]:
         """Dict matching Table I's columns: avg, stdev, p99."""
         return {

@@ -1,9 +1,9 @@
 """The byte-identity contract: same scenario + seed, same report bytes.
 
-Pins seed-42 ``web-diurnal --quick`` three ways: workers 1 vs workers
-4 byte-for-byte, against the committed baseline the CI
+Pins seed-42 ``web-diurnal --quick`` two ways: workers 1 vs workers
+4 byte-for-byte, and against the committed baseline the CI
 ``scenario-smoke`` job ``cmp``s (with and without ``FifoSchedule``
-installed), and the market template across partition counts.
+installed).
 """
 
 import contextlib
@@ -65,16 +65,6 @@ def test_web_diurnal_batch_off_matches_committed_baseline(
         report, _ = _run_report(tmp_path, "fifo", "web-diurnal")
     with open(BASELINE, "rb") as handle:
         assert report == handle.read()
-
-
-def test_market_partitions_1_vs_2_byte_identical(tmp_path):
-    serial, _ = _run_report(
-        tmp_path, "p1", "market-fleet", "--partitions", "1"
-    )
-    sharded, _ = _run_report(
-        tmp_path, "p2", "market-fleet", "--partitions", "2"
-    )
-    assert serial == sharded
 
 
 @pytest.mark.parametrize("template", ("ml-sweep", "kv-mix"))
