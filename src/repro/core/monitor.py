@@ -69,6 +69,8 @@ class VmRegistration:
         codec: PartitionedKeyCodec,
     ) -> None:
         self.qemu = qemu
+        #: The page table the VM's faults resolve into.
+        self.table: PageTable = qemu.page_table
         self.store = store
         self.codec = codec
         self.handles: List[UffdRegion] = []
@@ -85,13 +87,6 @@ class VmRegistration:
         #: with StoreUnavailableError instead of hanging on a store
         #: that will never answer.
         self.quarantined = False
-
-    @property
-    def table(self) -> PageTable:
-        return self.qemu.page_table
-
-    def key_for(self, host_vaddr: int) -> int:
-        return self.codec.key_for(host_vaddr)
 
     def release_partition(self) -> None:
         """Give the virtual-partition index back (idempotent)."""
@@ -358,7 +353,7 @@ class Monitor:
                         self._prefetched_addrs.discard(token)
                         self.counters.incr("prefetch_hits")
             else:
-                key = registration.key_for(addr)
+                key = registration.codec.key_for(addr)
                 # Without the tracker (ablation) every fault goes to
                 # the store and first touches pay a wasted round trip.
                 if self.config.zero_page_tracker and \
@@ -438,7 +433,7 @@ class Monitor:
                     self.counters.incr("zero_page_faults")
                     # Post-wake (blue path) eviction interleaves with
                     # the guest — stays event-driven, but flat.
-                    yield from self._evict_until(self.lru.capacity, False)
+                    yield from self._evict_until(self.lru._capacity, False)
                     if self.victim_policy is not None:
                         yield from self._enforce_policy_caps(
                             registration, False
@@ -475,7 +470,7 @@ class Monitor:
                 handle = registration.store.read_async(key)
                 # REMAP runs while the vCPU is already suspended, so
                 # its IPI is cheap (§V-B).
-                yield from self._evict_until(self.lru.capacity - 1, True)
+                yield from self._evict_until(self.lru._capacity - 1, True)
                 sample = gauss(
                     lat.update_page_cache_mean, lat.update_page_cache_sigma,
                 )
@@ -659,7 +654,7 @@ class Monitor:
         doomed_keys = []
         for handle in registration.handles:
             for vaddr in handle.region.pages():
-                key = registration.key_for(vaddr)
+                key = registration.codec.key_for(vaddr)
                 if key in self.tracker:
                     self.tracker.forget(key)
                     if self._check_on:
@@ -698,7 +693,7 @@ class Monitor:
                 registration.table, vaddr, self.buffer_table,
                 buffer_vaddr, interleaved=False,
             )
-            key = registration.key_for(vaddr)
+            key = registration.codec.key_for(vaddr)
             yield from self._put_with_retry(registration, key, page)
             if self._check_on:
                 self.check.pages.on_evicted(key, durable=True)
@@ -713,7 +708,7 @@ class Monitor:
         seen_keys = set()
         for region_handle in registration.handles:
             for vaddr in region_handle.region.pages():
-                key = registration.key_for(vaddr)
+                key = registration.codec.key_for(vaddr)
                 if key in self.tracker:
                     seen_keys.add(key)
                     self.tracker.forget(key)
@@ -1027,7 +1022,7 @@ class Monitor:
         ):
             if addr in registration.table:
                 continue
-            key = registration.key_for(addr)
+            key = registration.codec.key_for(addr)
             if self.tracker.is_first_access(key):
                 continue  # never evicted: nothing in the store
             if self.writeback.holds(key):
@@ -1300,7 +1295,7 @@ class Monitor:
             )
             (self._ob_remap or self._mk_observer(
                 "_ob_remap", CodePath.UFFD_REMAP))(cost)
-            key = registration.key_for(vaddr)
+            key = registration.codec.key_for(vaddr)
             incr("evictions")
             if async_wb:
                 if check_on:
@@ -1344,9 +1339,9 @@ class Monitor:
         return page
 
     def _timed(self, path: CodePath, operation: Generator) -> Generator:
-        started = self.env.now
+        started = self.env._now
         result = yield from operation
-        self.profiler.record(path, self.env.now - started)
+        self.profiler.record(path, self.env._now - started)
         return result
 
     # -- introspection ----------------------------------------------------------------

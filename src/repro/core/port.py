@@ -46,18 +46,13 @@ class FluidMemoryPort(MemoryPort):
         self.hit_runs = 0
         self.hit_run_pages = 0
 
-    # -- address handling -------------------------------------------------------
-
-    def _host_addr(self, guest_addr: int) -> int:
-        return self.qemu.guest_to_host(guest_addr)
-
     # -- MemoryPort API ------------------------------------------------------------
 
     def is_resident(self, vaddr: int) -> bool:
-        return self._host_addr(vaddr) in self.qemu.page_table
+        return self.qemu.guest_to_host(vaddr) in self.qemu.page_table
 
     def touch(self, vaddr: int, is_write: bool = False) -> None:
-        host = self._host_addr(vaddr)
+        host = self.qemu.guest_to_host(vaddr)
         page = self.qemu.page_table.entry(host).page
         if is_write:
             page.write()
@@ -73,7 +68,7 @@ class FluidMemoryPort(MemoryPort):
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> bool:
         """Non-generator mirror of :meth:`access`'s LRU-hit branch."""
-        host = self._host_addr(vaddr)
+        host = self.qemu.guest_to_host(vaddr)
         if host in self.qemu.page_table:
             self.monitor.counters.incr("lru_hits")
             if self.monitor._prefetched_addrs:
@@ -98,7 +93,7 @@ class FluidMemoryPort(MemoryPort):
         deliberately ignored: FluidMem treats every page identically —
         that indifference *is* full memory disaggregation.
         """
-        host = self._host_addr(vaddr)
+        host = self.qemu.guest_to_host(vaddr)
         if host in self.qemu.page_table:
             # Resident: the monitor never sees this access — the whole
             # point of keeping hot pages local (the "LRU hit" path).
@@ -110,7 +105,7 @@ class FluidMemoryPort(MemoryPort):
 
         if (
             self.vm.virt_mode is VirtMode.KVM
-            and self.monitor.lru.capacity < 2
+            and self.monitor.lru._capacity < 2
         ):
             # Table III, last row: KVM hardware-assisted virtualization
             # deadlocks at a 1-page footprint because resolving a fault

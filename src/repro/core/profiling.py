@@ -11,7 +11,9 @@ The profiler is a thin facade over a
 ``codepath_latency_us`` histogram (labelled with the path and, when the
 monitor is observed, its VM/monitor name), so the same samples that
 print Table I also land in the ``--metrics`` snapshot and the CI
-perf-regression gate.
+perf-regression gate.  A charge only appends its sample: the histogram
+folds moments and bucket counts when Table I or the snapshot reads
+them (DESIGN.md §12).
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ class WritebackQueue:
         if not self._pending:
             return
         oldest = next(iter(self._pending.values()))
-        if self.env.now - oldest.queued_at >= self.stale_us:
+        if self.env._now - oldest.queued_at >= self.stale_us:
             self._wake_flusher()
 
     def steal(self, key: int) -> Optional[StealResult]:
@@ -214,11 +214,11 @@ class WritebackQueue:
         if not batch:
             return
 
-        completion = self.env.event()
+        completion = Event(self.env)
         for entry in batch:
             self._in_flight[entry.key] = (entry, completion)
 
-        flush_started = self.env.now
+        flush_started = self.env._now
         store = registration.store  # type: ignore[attr-defined]
         items = [(entry.key, entry.page, 4096) for entry in batch]
         try:

@@ -29,6 +29,7 @@ from ..mem import (
     is_page_aligned,
 )
 from ..sim import CounterSet, Environment, Event, Store
+from ..sim.core import PENDING
 from .latency import UffdLatency
 
 __all__ = ["UffdFault", "UffdRegion", "Userfaultfd", "UffdOps"]
@@ -50,9 +51,9 @@ class UffdFault:
         self.addr = addr
         self.pid = pid
         self.is_write = is_write
-        self.raised_at = env.now
+        self.raised_at = env._now
         #: The faulting thread sleeps on this; UFFDIO_WAKE fires it.
-        self.resolved: Event = env.event()
+        self.resolved: Event = Event(env)
         self.region = region
 
     def __repr__(self) -> str:
@@ -96,6 +97,7 @@ class Userfaultfd:
         self._rng = rng
         #: Monitor reads fault events from here (epoll on the fd).
         self.events: Store = Store(env)
+        #: Live registrations only: unregister drops the handle.
         self._regions: List[UffdRegion] = []
         self.counters = CounterSet()
 
@@ -106,8 +108,7 @@ class Userfaultfd:
     ) -> UffdRegion:
         """Register a range; faults inside it become events."""
         for existing in self._regions:
-            if existing.valid and existing.pid == pid and \
-                    existing.region.overlaps(region):
+            if existing.pid == pid and existing.region.overlaps(region):
                 raise UffdRegionError(
                     f"range {region!r} overlaps {existing!r}"
                 )
@@ -117,21 +118,30 @@ class Userfaultfd:
         return handle
 
     def unregister(self, handle: UffdRegion) -> None:
-        """Invalidate a region (VM shut down)."""
+        """Drop a region (VM shut down); its handle reads invalid."""
         if not handle.valid:
             raise UffdRegionError(f"{handle!r} already unregistered")
+        try:
+            self._regions.remove(handle)
+        except ValueError:
+            raise UffdRegionError(
+                f"{handle!r} is not registered on this fd"
+            ) from None
         handle.valid = False
         self.counters.incr("unregistrations")
 
     def find_region(self, addr: int, pid: int) -> Optional[UffdRegion]:
+        """The live registration of ``pid`` that covers ``addr``."""
         for handle in self._regions:
-            if handle.pid == pid and addr in handle:
-                return handle
+            if handle.pid == pid:
+                span = handle.region
+                if span.start <= addr < span.start + span.length:
+                    return handle
         return None
 
     @property
     def registered_regions(self) -> List[UffdRegion]:
-        return [handle for handle in self._regions if handle.valid]
+        return list(self._regions)
 
     # -- fault side ---------------------------------------------------------
 
@@ -293,7 +303,7 @@ class UffdOps:
         """Fast UFFDIO_WAKE; False when the event machinery is needed."""
         if not self.env.try_advance(self.latency.wake_us):
             return False
-        if fault.resolved.triggered:
+        if fault.resolved._value is not PENDING:
             raise UffdError(f"{fault!r} already woken")
         fault.resolved.succeed()
         self.counters.incr("wake")
@@ -304,7 +314,7 @@ class UffdOps:
         wake_us = self.latency.wake_us
         if not self.env.try_advance(wake_us):
             yield self.env.timeout(wake_us)
-        if fault.resolved.triggered:
+        if fault.resolved._value is not PENDING:
             raise UffdError(f"{fault!r} already woken")
         fault.resolved.succeed()
         self.counters.incr("wake")

@@ -24,6 +24,7 @@ from typing import Any, Generator, List, Sequence, Tuple
 
 from ..mem import PAGE_SIZE
 from ..sim import CounterSet, Environment, Event
+from ..sim.core import DetachedProcess
 
 __all__ = [
     "KeyValueBackend",
@@ -44,8 +45,8 @@ class ReadHandle:
 
     def __init__(self, env: Environment, key: int) -> None:
         self.key = key
-        self.event: Event = env.event()
-        self.issued_at = env.now
+        self.event: Event = Event(env)
+        self.issued_at = env._now
 
 
 class WriteHandle:
@@ -55,8 +56,8 @@ class WriteHandle:
 
     def __init__(self, env: Environment, keys: Sequence[int]) -> None:
         self.keys = tuple(keys)
-        self.event: Event = env.event()
-        self.issued_at = env.now
+        self.event: Event = Event(env)
+        self.issued_at = env._now
 
 
 class KeyValueBackend(abc.ABC):
@@ -122,16 +123,20 @@ class KeyValueBackend(abc.ABC):
 
     # -- asynchronous halves ---------------------------------------------------
 
+    # The drivers report only through the handle's event; nothing can
+    # wait on the driver process itself, so it runs detached and, with
+    # no scheduler installed, finishes without a heap event.
+
     def read_async(self, key: int) -> ReadHandle:
         """Top half of a read: issue and return immediately."""
         handle = ReadHandle(self.env, key)
-        self.env.process(self._drive_read(handle))
+        DetachedProcess(self.env, self._drive_read(handle))
         return handle
 
     def write_async(self, items: List[WriteItem]) -> WriteHandle:
         """Top half of a batched write: issue and return immediately."""
         handle = WriteHandle(self.env, [item[0] for item in items])
-        self.env.process(self._drive_write(handle, list(items)))
+        DetachedProcess(self.env, self._drive_write(handle, list(items)))
         return handle
 
     def _drive_read(self, handle: ReadHandle) -> Generator:

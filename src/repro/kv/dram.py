@@ -52,12 +52,13 @@ class DramStore(KeyValueBackend):
     def read_async(self, key: int) -> ReadHandle:
         """Top half of a read without the per-read driver process.
 
-        The generic :meth:`KeyValueBackend.read_async` spawns a full
-        :class:`~repro.sim.core.Process` per read — an ``Initialize``
-        heap event, a generator frame, and a process-completion heap
-        event.  A DRAM read is RNG-free with a fixed ``COPY_US``
-        charge, so with no scheduler installed (DESIGN.md §17) the
-        whole bottom half collapses to two callbacks:
+        The generic :meth:`KeyValueBackend.read_async` spawns a
+        :class:`~repro.sim.core.DetachedProcess` per read — an
+        ``Initialize`` heap event and a generator frame; with no
+        scheduler it settles without a completion event (DESIGN.md
+        §17).  A DRAM read is RNG-free with a fixed ``COPY_US``
+        charge, so with no scheduler installed the whole bottom half
+        collapses to two callbacks and no generator at all:
 
         * a bare start event scheduled exactly where ``Initialize``
           would sit — ``(now, PRIORITY_URGENT, seq)`` — whose callback
@@ -66,10 +67,9 @@ class DramStore(KeyValueBackend):
           value/exception, counters, and timestamp the driver process
           would have produced.
 
-        The only heap event this drops is the driver process's own
-        no-callback completion event, which changes nothing observable;
-        the equivalence pins (tests/bench) hold this byte-identical to
-        the driver-process read that a ``FifoSchedule`` run takes.
+        The heap sees the same events as on the generic path; the
+        equivalence pins (tests/bench) hold this byte-identical to the
+        driver-process read that a ``FifoSchedule`` run takes.
         """
         env = self.env
         if (

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..coord import ZooKeeperClient
 from ..errors import NodeExistsError, PartitionError, SessionExpiredError
-from ..mem import MAX_PARTITION, encode_page_key
+from ..mem.addr import MAX_PARTITION, PAGE_SHIFT, PARTITION_BITS
 
 __all__ = [
     "PartitionOwner",
@@ -168,13 +168,23 @@ class PartitionedKeyCodec:
 
     For backends with native partitions, ``partition`` stays 0 and the
     table id separates tenants; otherwise the virtual partition index is
-    packed into the low 12 bits.
+    packed into the low 12 bits.  The partition is checked once, here,
+    and is read-only after, so :meth:`key_for` checks only the address.
     """
+
+    __slots__ = ("_partition",)
 
     def __init__(self, partition: int = 0) -> None:
         if not 0 <= partition <= MAX_PARTITION:
             raise PartitionError(f"partition {partition} out of range")
-        self.partition = partition
+        self._partition = partition
+
+    @property
+    def partition(self) -> int:
+        return self._partition
 
     def key_for(self, vaddr: int) -> int:
-        return encode_page_key(vaddr, self.partition)
+        """:func:`~repro.mem.encode_page_key` of ``vaddr``."""
+        if vaddr < 0 or vaddr >> 64:
+            raise ValueError(f"address {vaddr:#x} outside 64-bit space")
+        return (vaddr >> PAGE_SHIFT << PARTITION_BITS) | self._partition

@@ -26,7 +26,7 @@ from ..errors import KeyNotFoundError, KVError
 from ..mem import PAGE_SIZE
 from ..net import Fabric
 from ..sim import Environment
-from .api import KeyValueBackend, WriteItem
+from .api import KeyValueBackend, WriteItem, _park_failure
 
 __all__ = ["RamCloudServer", "RamCloudStore"]
 
@@ -181,8 +181,6 @@ class RamCloudStore(KeyValueBackend):
 
     def _drive_read(self, handle) -> Generator:
         # Asynchronous top/bottom halves skip the blocking client cost.
-        from .api import _park_failure
-
         try:
             value = yield from self.get(handle.key, _async=True)
         except Exception as exc:

@@ -43,6 +43,9 @@ class Fabric:
         self._rng = streams.stream("net.fabric")
         self._hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], TransportSpec] = {}
+        #: (src, dst) -> (source host, transport), resolved once per
+        #: route by :meth:`rpc`; :meth:`connect` clears it.
+        self._routes: Dict[Tuple[str, str], Tuple[Host, TransportSpec]] = {}
 
     # -- topology ----------------------------------------------------------
 
@@ -66,6 +69,7 @@ class Fabric:
         self.host(a)
         self.host(b)
         self._links[self._key(a, b)] = transport
+        self._routes.clear()
 
     def transport_between(self, a: str, b: str) -> TransportSpec:
         try:
@@ -116,9 +120,13 @@ class Fabric:
         fabric.rpc(...)`` inside a simulation process.
         """
         env = self.env
-        source = self.host(src)
-        self.host(dst)
-        transport = self.transport_between(src, dst)
+        route = self._routes.get((src, dst))
+        if route is None:
+            source = self.host(src)
+            self.host(dst)
+            route = (source, self.transport_between(src, dst))
+            self._routes[(src, dst)] = route
+        source, transport = route
 
         request = source.nic.try_acquire()
         if request is None:

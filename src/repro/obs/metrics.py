@@ -89,18 +89,20 @@ class Gauge:
         return self._value
 
 
-class Histogram:
+class Histogram(LatencyRecorder):
     """Fixed-bucket latency histogram with exact summary statistics.
 
-    Bucket edges are upper bounds; a sample lands in the first bucket
-    whose edge is >= the sample, or the implicit overflow bucket past
-    the last edge.  Alongside the bucket counts, a bounded
-    :class:`~repro.sim.LatencyRecorder` keeps raw samples so p50/p95/p99
-    are exact (not bucket-interpolated) as long as retention isn't
-    capped — the bench's quick runs stay far below the cap.
+    A :class:`~repro.sim.LatencyRecorder` plus bucket edges.  Edges are
+    upper bounds; a sample lands in the first bucket whose edge is >=
+    the sample, or the implicit overflow bucket past the last edge.
+    :meth:`observe` is the recorder's ``record``: it checks the sample
+    and retains it, and the bucket counts are folded with the moments
+    when read (DESIGN.md §12).  Retained raw samples keep p50/p95/p99
+    exact (not bucket-interpolated) as long as retention isn't capped —
+    the bench's quick runs stay far below the cap.
     """
 
-    __slots__ = ("key", "edges", "_bucket_counts", "_recorder", "_record")
+    __slots__ = ("edges", "_bucket_counts")
 
     def __init__(
         self,
@@ -115,97 +117,35 @@ class Histogram:
             raise FluidMemError(
                 f"bucket edges must be strictly increasing: {ordered}"
             )
-        self.key = key
+        super().__init__(key, max_samples=max_samples)
         self.edges = ordered
         self._bucket_counts = [0] * (len(ordered) + 1)
-        self._recorder = LatencyRecorder(key, max_samples=max_samples)
-        # Bound-method cache: observe() is the monitor's per-charge hot
-        # path (one call per profiled code-path sample).
-        self._record = self._recorder.record
 
-    def observe(self, value: float) -> None:
-        self._bucket_counts[_bisect_left(self.edges, value)] += 1
-        # Inlined LatencyRecorder.record — statement-for-statement the
-        # same update in the same order, so the running moments stay
-        # bit-identical to the granular call; observe() runs once per
-        # profiled charge, which makes the call dispatch worth shaving.
-        recorder = self._recorder
-        if value < 0:
-            raise ValueError(
-                f"negative latency {value} for {recorder.name!r}"
-            )
-        count = recorder._count + 1
-        recorder._count = count
-        recorder._sum += value
-        delta = value - recorder._welford_mean
-        mean = recorder._welford_mean + delta / count
-        recorder._welford_mean = mean
-        recorder._welford_m2 += delta * (value - mean)
-        if value < recorder._min:
-            recorder._min = value
-        if value > recorder._max:
-            recorder._max = value
-        samples = recorder._samples
-        max_samples = recorder.max_samples
-        if max_samples is None or len(samples) < max_samples:
-            samples.append(value)
+    observe = LatencyRecorder.record
 
-    def observe_many(self, values) -> None:
-        """Record a cohort of samples in one call (DESIGN.md §17).
-
-        Strictly sequential — each sample goes through the exact same
-        bucket increment and Welford update as :meth:`observe`, in
-        cohort order, so the summary statistics are bit-identical to N
-        individual calls (a pairwise/parallel merge would round
-        differently).  The only saving is the per-sample call dispatch.
-        """
+    def _fold(self, values: Sequence[float]) -> None:
+        super()._fold(values)
         counts = self._bucket_counts
         edges = self.edges
-        record = self._record
         for value in values:
             counts[_bisect_left(edges, value)] += 1
-            record(value)
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def count(self) -> int:
-        return self._recorder.count
-
-    @property
-    def sum(self) -> float:
-        if self._recorder.count == 0:
-            return 0.0
-        return self._recorder.mean * self._recorder.count
-
-    @property
-    def mean(self) -> float:
-        return self._recorder.mean
-
-    @property
-    def stdev(self) -> float:
-        return self._recorder.stdev
-
-    @property
-    def minimum(self) -> float:
-        return self._recorder.minimum
-
-    @property
-    def maximum(self) -> float:
-        return self._recorder.maximum
-
-    def percentile(self, q: float) -> float:
-        return self._recorder.percentile(q)
+    def key(self) -> str:
+        return self.name
 
     @property
     def bucket_counts(self) -> Tuple[int, ...]:
         """Per-bucket counts; the last entry is the overflow bucket."""
+        self._catch_up()
         return tuple(self._bucket_counts)
 
     def cumulative_counts(self) -> Tuple[int, ...]:
         out: List[int] = []
         running = 0
-        for count in self._bucket_counts:
+        for count in self.bucket_counts:
             running += count
             out.append(running)
         return tuple(out)
@@ -245,6 +185,8 @@ class _NullHistogram(Histogram):
 
     def observe(self, value: float) -> None:
         pass
+
+    record = observe
 
 
 class MetricsRegistry:

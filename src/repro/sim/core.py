@@ -71,6 +71,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "DetachedProcess",
     "AnyOf",
     "AllOf",
     "PENDING",
@@ -371,6 +372,29 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
+
+
+class DetachedProcess(Process):
+    """A process nothing waits on, such as the kv split-halves drivers.
+
+    Its creator keeps no reference to it and reports the outcome
+    through an event of its own, so the completion event would fire
+    with no callbacks and change nothing.  With no scheduler installed
+    it settles in place: no heap event, no sequence number.  Under any
+    schedule policy, :class:`~repro.check.explorer.FifoSchedule`
+    included, the completion is scheduled like any process's, so the
+    policy sees every decision it saw before (DESIGN.md §17).
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None) -> "Event":
+        if self.env.scheduler is None and not self.callbacks:
+            self._ok = True
+            self._value = value
+            self.callbacks = None
+            return self
+        return Event.succeed(self, value)
 
 
 class _Condition(Event):

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from ..errors import SimulationError
-from .core import Environment, Event
+from .core import PENDING, Environment, Event
 
 __all__ = ["Resource", "Request", "Store", "Container"]
 
@@ -28,6 +28,8 @@ class Request(Event):
     :meth:`Resource.release` (or used as a context manager inside a
     process via ``with``-less convention: yield then release).
     """
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
@@ -113,15 +115,22 @@ class Resource:
 class StoreGet(Event):
     """Pending ``get`` on a :class:`Store`; fires with the item."""
 
+    __slots__ = ("predicate",)
+
     def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]]) -> None:
         super().__init__(store.env)
         self.predicate = predicate
         store._getters.append(self)
-        store._dispatch()
+        # With no item and no blocked put nothing can be served, so the
+        # sweep would change nothing that the next one does not.
+        if store.items or store._putters:
+            store._dispatch()
 
 
 class StorePut(Event):
     """Pending ``put`` on a bounded :class:`Store`; fires when stored."""
+
+    __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store.env)
@@ -172,7 +181,7 @@ class Store:
             # the oldest item over without the general dispatch sweep.
             if len(getters) == 1 and not self._putters:
                 getter = getters[0]
-                if getter.predicate is None and not getter.triggered:
+                if getter.predicate is None and getter._value is PENDING:
                     getters.popleft()
                     getter.succeed(items.popleft())
                     return
@@ -229,7 +238,7 @@ class Store:
                 progress = True
             # Serve getters.
             for getter in list(self._getters):
-                if getter.triggered:
+                if getter._value is not PENDING:
                     self._getters.remove(getter)
                     continue
                 item = self._match(getter)

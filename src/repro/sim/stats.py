@@ -8,6 +8,7 @@ by the classes in this module, so the harness code stays declarative.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -96,15 +97,27 @@ class Cdf:
 class LatencyRecorder:
     """Accumulates latency samples for one labelled measurement point.
 
-    Keeps raw samples (bounded by ``max_samples`` with reservoir-free
-    head-keep: summary stats stay exact via running accumulators even
-    when raw-sample retention is capped).
+    Keeps raw samples, bounded by ``max_samples`` with head-keep (the
+    first ``max_samples`` are retained).  The summary statistics stay
+    exact past the cap, because they are folded from every sample.
+
+    Fold on read (DESIGN.md §12): while retention is not capped,
+    :meth:`record` only checks the sample and appends it.  Count, sum,
+    the Welford moments, min and max are folded from the retained
+    samples, in record order, when a statistic is first read; a later
+    read folds only what was recorded since.  The first sample past the
+    cap folds the retained samples that are still unfolded, and from
+    then on each sample is folded as it is recorded.  Every sample goes
+    through the one update in :meth:`_fold` exactly once and in record
+    order, so the results are the same floats an update per record
+    would give.
     """
 
     __slots__ = (
         "name",
-        "max_samples",
+        "_cap",
         "_samples",
+        "_folded",
         "_count",
         "_sum",
         "_welford_mean",
@@ -115,8 +128,11 @@ class LatencyRecorder:
 
     def __init__(self, name: str, max_samples: Optional[int] = None) -> None:
         self.name = name
-        self.max_samples = max_samples
+        #: Retention bound as an int, so record() compares int to int.
+        self._cap = sys.maxsize if max_samples is None else max_samples
         self._samples: List[float] = []
+        #: How many of the retained samples the accumulators include.
+        self._folded = 0
         self._count = 0
         self._sum = 0.0
         # Welford running moments: numerically stable for near-constant
@@ -129,50 +145,95 @@ class LatencyRecorder:
     def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative latency {value} for {self.name!r}")
-        count = self._count + 1
-        self._count = count
-        self._sum += value
-        delta = value - self._welford_mean
-        mean = self._welford_mean + delta / count
-        self._welford_mean = mean
-        self._welford_m2 += delta * (value - mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
         samples = self._samples
-        max_samples = self.max_samples
-        if max_samples is None or len(samples) < max_samples:
+        if len(samples) < self._cap:
             samples.append(value)
+            return
+        # Past the cap the sample is not retained: fold it now, after
+        # every retained sample (record order).
+        self._catch_up()
+        self._fold((value,))
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
             self.record(value)
 
+    def _catch_up(self) -> None:
+        """Fold the retained samples recorded since the last fold."""
+        samples = self._samples
+        if self._folded < len(samples):
+            self._fold(samples[self._folded:])
+            self._folded = len(samples)
+
+    def _fold(self, values: Sequence[float]) -> None:
+        """The one accumulator update, over ``values`` in order.
+
+        A plain loop on purpose: builtin ``sum()`` compensates its
+        rounding on Python >= 3.12 and would not give the same float.
+        """
+        count = self._count
+        total = self._sum
+        mean = self._welford_mean
+        m2 = self._welford_m2
+        low = self._min
+        high = self._max
+        for value in values:
+            count += 1
+            total += value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._count = count
+        self._sum = total
+        self._welford_mean = mean
+        self._welford_m2 = m2
+        self._min = low
+        self._max = high
+
+    @property
+    def max_samples(self) -> Optional[int]:
+        """Retention cap (``None``: every sample is retained)."""
+        return None if self._cap == sys.maxsize else self._cap
+
     @property
     def count(self) -> int:
+        self._catch_up()
         return self._count
 
     @property
+    def sum(self) -> float:
+        """The in-order running sum of every sample (0.0 when empty)."""
+        self._catch_up()
+        return self._sum
+
+    @property
     def mean(self) -> float:
+        self._catch_up()
         if self._count == 0:
             raise ValueError(f"no samples recorded for {self.name!r}")
         return self._sum / self._count
 
     @property
     def stdev(self) -> float:
+        self._catch_up()
         if self._count < 2:
             return 0.0
         return math.sqrt(max(0.0, self._welford_m2 / (self._count - 1)))
 
     @property
     def minimum(self) -> float:
+        self._catch_up()
         if self._count == 0:
             raise ValueError(f"no samples recorded for {self.name!r}")
         return self._min
 
     @property
     def maximum(self) -> float:
+        self._catch_up()
         if self._count == 0:
             raise ValueError(f"no samples recorded for {self.name!r}")
         return self._max
@@ -191,7 +252,7 @@ class LatencyRecorder:
     def summary(self) -> Dict[str, float]:
         """Dict matching Table I's columns: avg, stdev, p99."""
         return {
-            "count": float(self._count),
+            "count": float(self.count),
             "avg": self.mean,
             "stdev": self.stdev,
             "p99": self.percentile(99.0),
@@ -200,12 +261,10 @@ class LatencyRecorder:
         }
 
     def __repr__(self) -> str:
-        if self._count == 0:
-            return f"<LatencyRecorder {self.name!r} empty>"
-        return (
-            f"<LatencyRecorder {self.name!r} n={self._count} "
-            f"avg={self.mean:.2f}us>"
-        )
+        kind = type(self).__name__
+        if self.count == 0:
+            return f"<{kind} {self.name!r} empty>"
+        return f"<{kind} {self.name!r} n={self._count} avg={self.mean:.2f}us>"
 
 
 class TimeSeries:

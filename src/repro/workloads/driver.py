@@ -126,11 +126,11 @@ class AccessDriver:
         # Miss: settle accumulated hit time first so ordering is sane.
         if self._pending_us > 0.0:
             yield from self.flush()
-        started = self.env.now
+        started = self.env._now
         yield from self.port.access(vaddr, is_write, kind=kind)
         self.faults += 1
         if self.latency is not None:
-            self.latency.record(self.env.now - started)
+            self.latency.record(self.env._now - started)
 
     def flush(self) -> Generator:
         """Charge any accumulated hit time to the clock.

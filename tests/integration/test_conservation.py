@@ -29,7 +29,7 @@ def audit(stack, vm, qemu, registration, pages):
     for index in range(pages):
         guest = base + index * PAGE_SIZE
         host = qemu.guest_to_host(guest)
-        key = registration.key_for(host)
+        key = registration.codec.key_for(host)
         if monitor.tracker.is_first_access(key):
             continue  # never touched
         resident = host in qemu.page_table

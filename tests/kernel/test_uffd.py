@@ -64,6 +64,54 @@ def test_unregister_invalidates(uffd):
         uffd.unregister(handle)
 
 
+def test_unregister_cycles_keep_only_live_handles(env, uffd, ops):
+    """Deregister and migration detach/attach cycles must not grow the
+    registry that every fault and registration scans."""
+    tables = {}
+    stale = []
+    for cycle in range(20):
+        pid = 100 + cycle
+        tables[pid] = PageTable()
+        handle = uffd.register(region(), pid=pid, page_table=tables[pid])
+        if cycle % 4:
+            uffd.unregister(handle)
+            stale.append(handle)
+    live = uffd.registered_regions
+    assert len(uffd._regions) == len(live) == 5
+    assert all(handle.valid for handle in live)
+    # Holders of a stale handle still see it invalid.
+    assert not any(handle.valid for handle in stale)
+    assert all(handle not in uffd._regions for handle in stale)
+    with pytest.raises(UffdError):
+        uffd.raise_fault(0x100000, pid=stale[0].pid, is_write=False)
+
+    def vcpu(env, handle):
+        fault = uffd.raise_fault(0x100000 + PAGE_SIZE, pid=handle.pid,
+                                 is_write=True)
+        assert fault.region is handle
+        yield fault.resolved
+
+    def monitor(env):
+        for _ in live:
+            fault = yield uffd.events.get()
+            yield from ops.zeropage(fault.region.page_table, fault.addr)
+            yield from ops.wake(fault)
+
+    vcpus = [env.process(vcpu(env, handle)) for handle in live]
+    env.process(monitor(env))
+    env.run()
+    assert all(proc.processed and proc.ok for proc in vcpus)
+    assert all(tables[handle.pid].present_pages == 1 for handle in live)
+
+
+def test_unregister_of_a_foreign_handle_rejected(env, uffd):
+    other = Userfaultfd(env, UffdLatency(), random.Random(2))
+    handle = other.register(region(), pid=42, page_table=PageTable())
+    with pytest.raises(UffdRegionError):
+        uffd.unregister(handle)
+    assert handle.valid
+
+
 def test_fault_outside_region_rejected(env, uffd):
     with pytest.raises(UffdError):
         uffd.raise_fault(0xDEAD000, pid=42, is_write=False)

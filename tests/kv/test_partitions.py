@@ -11,7 +11,7 @@ from repro.kv import (
     PartitionOwner,
     VirtualPartitionRegistry,
 )
-from repro.mem import MAX_PARTITION, decode_page_key
+from repro.mem import MAX_PARTITION, decode_page_key, encode_page_key
 
 
 @pytest.fixture
@@ -160,6 +160,25 @@ def test_key_codec_packs_partition():
 def test_key_codec_range_check():
     with pytest.raises(PartitionError):
         PartitionedKeyCodec(partition=MAX_PARTITION + 1)
+
+
+def test_key_codec_partition_is_read_only():
+    codec = PartitionedKeyCodec(partition=42)
+    with pytest.raises(AttributeError):
+        codec.partition = MAX_PARTITION + 1
+    assert codec.partition == 42
+
+
+@given(st.integers(-(1 << 65), 1 << 65), st.integers(0, MAX_PARTITION))
+def test_key_codec_matches_encode_page_key(vaddr, partition):
+    codec = PartitionedKeyCodec(partition=partition)
+    try:
+        expected = encode_page_key(vaddr, partition)
+    except ValueError:
+        with pytest.raises(ValueError):
+            codec.key_for(vaddr)
+    else:
+        assert codec.key_for(vaddr) == expected
 
 
 @settings(max_examples=20, deadline=None)

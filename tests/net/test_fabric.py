@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HostUnreachableError, NetworkError
-from repro.net import Fabric, RDMA_FDR
+from repro.net import Fabric, RDMA_FDR, TransportSpec
 from repro.sim import Environment, RandomStreams
 
 
@@ -107,3 +107,42 @@ def test_rpc_to_unknown_host_fails_fast():
     env.process(client(env))
     with pytest.raises(HostUnreachableError):
         env.run()
+
+
+def test_rpc_route_follows_a_reconnected_link():
+    """rpc resolves each route once; connect() must invalidate that."""
+    env, fabric = make_fabric()
+    slow = TransportSpec(
+        name="slow", propagation_us=500.0, per_message_us=0.0,
+        bandwidth_gbps=RDMA_FDR.bandwidth_gbps,
+    )
+    finished = []
+
+    def client(env):
+        yield from fabric.rpc("hypervisor", "ramcloud", 64, 64)
+        finished.append(env.now)
+        fabric.connect("hypervisor", "ramcloud", slow)
+        yield from fabric.rpc("hypervisor", "ramcloud", 64, 64)
+        finished.append(env.now)
+
+    env.process(client(env))
+    env.run()
+    assert finished[0] < 30.0
+    assert finished[1] - finished[0] >= 1000.0  # two slow one-way legs
+
+
+def test_rpc_to_unknown_host_or_missing_link_raises():
+    env, fabric = make_fabric()
+    fabric.add_host("memcached")
+
+    def client(env, src, dst):
+        yield from fabric.rpc(src, dst, 64, 64)
+
+    for src, dst, error in (
+        ("hypervisor", "nope", HostUnreachableError),
+        ("nope", "ramcloud", HostUnreachableError),
+        ("hypervisor", "memcached", HostUnreachableError),
+    ):
+        env.process(client(env, src, dst))
+        with pytest.raises(error):
+            env.run()
