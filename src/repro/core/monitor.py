@@ -1118,8 +1118,9 @@ class Monitor:
         self, registration: VmRegistration, addr: int
     ) -> None:
         """Credit the prefetcher: a page it installed was touched
-        before eviction.  Called by the access ports on LRU hits
-        (guarded there on ``_prefetched_addrs`` being non-empty)."""
+        before eviction.  Called by ``FluidMemoryPort.try_touch``, the
+        port's one hit body, so driver hits are credited too (guarded
+        there on ``_prefetched_addrs`` being non-empty)."""
         token = (id(registration), addr)
         if token in self._prefetched_addrs:
             self._prefetched_addrs.discard(token)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..errors import VcpuDeadlockError
+from ..errors import PageTableError, VcpuDeadlockError
 from ..mem import PageKind
 from ..sim import Environment
 from ..vm import GuestVM, MemoryPort, QemuProcess, VirtMode
@@ -51,15 +51,39 @@ class FluidMemoryPort(MemoryPort):
     def is_resident(self, vaddr: int) -> bool:
         return self.qemu.guest_to_host(vaddr) in self.qemu.page_table
 
-    def touch(self, vaddr: int, is_write: bool = False) -> None:
+    def try_touch(self, vaddr: int, is_write: bool = False) -> bool:
+        """The port's one hit body: translate once, probe the table once.
+
+        A hit sets what ``Page.read``/``Page.write`` set, credits the
+        prefetcher when it installed the page (``prefetch_hits``), and
+        feeds the LRU-reordering ablation.  It never counts
+        ``lru_hits``: that is :meth:`try_access`'s and :meth:`access`'s
+        port-level count, which an access driver's hits do not enter.
+        """
         host = self.qemu.guest_to_host(vaddr)
-        page = self.qemu.page_table.entry(host).page
+        pte = self.qemu.page_table.get(host)
+        if pte is None:
+            return False
+        page = pte.page
+        page.referenced = True
         if is_write:
-            page.write()
-        else:
-            page.read()
-        # No-op unless the LRU-reordering ablation is enabled.
-        self.monitor.lru.note_access(host)
+            page.dirty = True
+            page.version += 1
+        monitor = self.monitor
+        if monitor._prefetched_addrs:
+            monitor.note_prefetch_hit(self.registration, host)
+        lru = monitor.lru
+        if lru.reorder_on_access:
+            lru.note_access(host)
+        return True
+
+    def touch(self, vaddr: int, is_write: bool = False) -> None:
+        if not self.try_touch(vaddr, is_write):
+            table = self.qemu.page_table
+            raise PageTableError(
+                f"{table.name}: {self.qemu.guest_to_host(vaddr):#x} "
+                "is not mapped"
+            )
 
     def try_access(
         self,
@@ -67,13 +91,14 @@ class FluidMemoryPort(MemoryPort):
         is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> bool:
-        """Non-generator mirror of :meth:`access`'s LRU-hit branch."""
-        host = self.qemu.guest_to_host(vaddr)
-        if host in self.qemu.page_table:
+        """:meth:`try_touch` plus the port-level ``lru_hits`` count.
+
+        ``lru_hits`` counts the hits of this method and of
+        :meth:`access` only; an access driver's hits go to
+        :meth:`try_touch` directly and are not counted here.
+        """
+        if self.try_touch(vaddr, is_write):
             self.monitor.counters.incr("lru_hits")
-            if self.monitor._prefetched_addrs:
-                self.monitor.note_prefetch_hit(self.registration, host)
-            self.touch(vaddr, is_write)
             return True
         return False
 
@@ -97,10 +122,9 @@ class FluidMemoryPort(MemoryPort):
         if host in self.qemu.page_table:
             # Resident: the monitor never sees this access — the whole
             # point of keeping hot pages local (the "LRU hit" path).
-            self.monitor.counters.incr("lru_hits")
-            if self.monitor._prefetched_addrs:
-                self.monitor.note_prefetch_hit(self.registration, host)
-            self.touch(vaddr, is_write)
+            # The membership test only routes; the hit is retired by
+            # the one hit body, so a miss translates the address once.
+            self.try_access(vaddr, is_write)
             return None
 
         if (

@@ -6,8 +6,9 @@ LRU lists, the swap subsystem over a block device, kswapd, and a
 file-page cache over a data disk.  The pmbench / Graph500 / MongoDB
 drivers talk to it through three calls:
 
-* ``is_resident(vaddr)`` + ``touch(vaddr)`` — the fast path (a TLB/PT
-  hit costs no simulation events),
+* ``try_touch(vaddr)`` — the fast path: one page-table probe that
+  records a hit and reports a miss (a TLB/PT hit costs no simulation
+  events),
 * ``access_fault(vaddr, is_write, ...)`` — the fault path, a simulation
   generator,
 * ``read_file_page(...)`` — file-backed I/O through the page cache.
@@ -23,7 +24,7 @@ import random
 from typing import Dict, Generator, Optional, Tuple
 
 from ..blockdev import BlockDevice, SECTOR_BYTES
-from ..errors import KernelError
+from ..errors import KernelError, PageTableError
 from ..mem import (
     PAGE_SIZE,
     FrameAllocator,
@@ -106,13 +107,28 @@ class GuestMemoryManager:
     def is_resident(self, vaddr: int) -> bool:
         return vaddr in self.table
 
+    def try_touch(self, vaddr: int, is_write: bool = False) -> bool:
+        """Record an access iff the page is resident: one table probe.
+
+        A hit sets what ``Page.read``/``Page.write`` set (referenced;
+        dirty and a version bump on a write); a miss changes nothing.
+        """
+        pte = self.table.get(vaddr)
+        if pte is None:
+            return False
+        page = pte.page
+        page.referenced = True
+        if is_write:
+            page.dirty = True
+            page.version += 1
+        return True
+
     def touch(self, vaddr: int, is_write: bool = False) -> None:
         """Record an access to a resident page (sets referenced/dirty)."""
-        page = self.table.entry(vaddr).page
-        if is_write:
-            page.write()
-        else:
-            page.read()
+        if not self.try_touch(vaddr, is_write):
+            raise PageTableError(
+                f"{self.table.name}: {vaddr:#x} is not mapped"
+            )
 
     # -- the fault path ----------------------------------------------------------
 
@@ -312,8 +328,7 @@ class GuestMemoryManager:
         if self.data_disk is None:
             raise KernelError("no data disk configured")
         vaddr = self.file_vaddr(file_id, page_index)
-        if self.is_resident(vaddr):
-            self.touch(vaddr, is_write)
+        if self.try_touch(vaddr, is_write):
             self.counters.incr("pagecache_hits")
             return True
 
@@ -349,9 +364,7 @@ class GuestMemoryManager:
             if not self.is_resident(self.file_vaddr(file_id, index))
         ]
         for index in range(first_page, first_page + count):
-            vaddr = self.file_vaddr(file_id, index)
-            if self.is_resident(vaddr):
-                self.touch(vaddr)
+            self.try_touch(self.file_vaddr(file_id, index))
         if not missing:
             self.counters.incr("pagecache_hits")
             return True

@@ -102,7 +102,12 @@ class Page:
         return self.kind.swappable and not self.mlocked
 
     def write(self, data: Optional[bytes] = None) -> None:
-        """Record a store to this page (marks dirty, bumps version)."""
+        """Record a store to this page (marks dirty, bumps version).
+
+        The hit bodies (``GuestMemoryManager.try_touch``,
+        ``FluidMemoryPort.try_touch``) set the same fields inline, as
+        :meth:`read` and this method with no ``data`` would.
+        """
         if data is not None:
             if len(data) != PAGE_SIZE:
                 raise ValueError(

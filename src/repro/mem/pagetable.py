@@ -85,6 +85,15 @@ class PageTable:
             self._check_aligned(vaddr)
         return self._entries.get(vaddr)
 
+    def get(self, vaddr: int) -> Optional[PageTableEntry]:
+        """:meth:`lookup` without the alignment check: the hit paths' probe.
+
+        Every key is page aligned (:meth:`map` checks), so a misaligned
+        or out-of-range ``vaddr`` can only miss, and the caller's miss
+        path validates it.
+        """
+        return self._entries.get(vaddr)
+
     def entry(self, vaddr: int) -> PageTableEntry:
         """Like :meth:`lookup` but raises when absent."""
         pte = self.lookup(vaddr)

@@ -62,9 +62,24 @@ class MemoryPort(abc.ABC):
     def is_resident(self, vaddr: int) -> bool:
         """Fast-path residency check (no simulated time)."""
 
+    def try_touch(self, vaddr: int, is_write: bool = False) -> bool:
+        """Record an access iff the page is resident (no simulated time).
+
+        The port's one hit body: a single page-table probe that marks
+        the page on a hit and changes nothing on a miss.  :meth:`touch`,
+        the hit branches of :meth:`try_access` and :meth:`access`, and
+        every hit an :class:`~repro.workloads.AccessDriver` retires go
+        through it.  It keeps no port-level hit count: FluidMem's
+        ``lru_hits`` counts only the hits of :meth:`try_access` and
+        :meth:`access`, never a driver's hits.  Every port provides it
+        (``SwapMemoryPort`` binds the guest kernel's own).
+        """
+        raise NotImplementedError
+
     @abc.abstractmethod
     def touch(self, vaddr: int, is_write: bool = False) -> None:
-        """Record an access to a resident page (no simulated time)."""
+        """:meth:`try_touch` on a page that must be resident; raises
+        ``PageTableError`` when it is not."""
 
     @abc.abstractmethod
     def access(
@@ -84,15 +99,13 @@ class MemoryPort(abc.ABC):
         """Non-generator fast path for the resident case.
 
         Returns True iff the access completed (the page was resident);
-        behavior is then identical to :meth:`access`'s hit branch.  On
-        False nothing happened — the caller must fall back to
-        ``yield from access(...)``.  ``kind`` only matters on the fault
-        path, which this method never takes.
+        behavior is then identical to :meth:`access`'s hit branch,
+        including any port-level hit count (FluidMem's ``lru_hits``;
+        :meth:`try_touch` keeps none).  On False nothing happened — the
+        caller must fall back to ``yield from access(...)``.  ``kind``
+        only matters on the fault path, which this method never takes.
         """
-        if self.is_resident(vaddr):
-            self.touch(vaddr, is_write)
-            return True
-        return False
+        return self.try_touch(vaddr, is_write)
 
     def note_hit_run(self, count: int) -> None:
         """Batched-hit accounting: ``count`` consecutive hits coalesced.
@@ -117,6 +130,9 @@ class SwapMemoryPort(MemoryPort):
 
     def __init__(self, mm: GuestMemoryManager) -> None:
         self.mm = mm
+        #: The hit body is the guest kernel's own, bound here so that a
+        #: hit costs one call rather than a wrapper and the call inside.
+        self.try_touch = mm.try_touch
 
     def is_resident(self, vaddr: int) -> bool:
         return self.mm.is_resident(vaddr)
@@ -130,8 +146,7 @@ class SwapMemoryPort(MemoryPort):
         is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> Generator:
-        if self.mm.is_resident(vaddr):
-            self.mm.touch(vaddr, is_write)
+        if self.try_touch(vaddr, is_write):
             return None
         page = yield from self.mm.access_fault(vaddr, is_write, kind=kind)
         return page

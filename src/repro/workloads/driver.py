@@ -16,6 +16,15 @@ equivalent to the timeout it replaces.  When it returns False the
 caller falls back to ``yield from driver.access(...)``, which behaves
 exactly as before — so workloads written either way produce
 byte-identical simulated results (DESIGN.md §12).
+
+Both retire a hit through the port's one hit body,
+:meth:`~repro.vm.MemoryPort.try_touch`: a single page-table probe that
+touches the page iff it is resident.  The one exception is the hit that
+makes a flush due in :meth:`AccessDriver.try_hit` (one in
+``flush_every``): it asks ``is_resident`` first and touches only after
+its clock advance succeeded, because a False return must leave
+everything unchanged.  Driver hits are not port-level hits: FluidMem's
+``lru_hits`` counts only the port's own ``try_access``/``access`` hits.
 """
 
 from __future__ import annotations
@@ -75,12 +84,11 @@ class AccessDriver:
         always did.
         """
         port = self.port
-        if not port.is_resident(vaddr):
-            return False
         if self._hits_since_flush + 1 >= self.flush_every:
             # Committing this hit makes a flush due; take the fast path
-            # only if the whole batch settles as a clock advance.
-            if not self.env.try_advance(
+            # only if the whole batch settles as a clock advance, and
+            # touch the page only once it has.
+            if not port.is_resident(vaddr) or not self.env.try_advance(
                 self._pending_us + self.hit_cost_us
             ):
                 return False
@@ -88,11 +96,13 @@ class AccessDriver:
             self._hits_since_flush = 0
             port.note_hit_run(self._run_hits + 1)
             self._run_hits = 0
+            port.touch(vaddr, is_write)
         else:
+            if not port.try_touch(vaddr, is_write):
+                return False
             self._pending_us += self.hit_cost_us
             self._hits_since_flush += 1
             self._run_hits += 1
-        port.touch(vaddr, is_write)
         self.hits += 1
         if self.latency is not None:
             # Sample a plausible in-DRAM access time (same draw, same
@@ -109,8 +119,7 @@ class AccessDriver:
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> Generator:
         """Touch one page; cheap on a hit, full fault path on a miss."""
-        if self.port.is_resident(vaddr):
-            self.port.touch(vaddr, is_write)
+        if self.port.try_touch(vaddr, is_write):
             self.hits += 1
             self._pending_us += self.hit_cost_us
             self._hits_since_flush += 1

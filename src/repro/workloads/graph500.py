@@ -205,11 +205,6 @@ class Graph500:
 
     # -- traced address helpers ------------------------------------------------
 
-    def _xadj_page(self, vertex: int) -> int:
-        return (
-            self.xadj_base + vertex * XADJ_BYTES
-        ) & ~(PAGE_SIZE - 1)
-
     def _adj_pages(self, start_edge: int, end_edge: int) -> range:
         if start_edge >= end_edge:
             return range(0)
@@ -218,16 +213,6 @@ class Graph500:
             self.adj_base + (end_edge - 1) * ADJ_BYTES
         ) & ~(PAGE_SIZE - 1)
         return range(first, last + PAGE_SIZE, PAGE_SIZE)
-
-    def _parent_page(self, vertex: int, slot: int = 0) -> int:
-        return (
-            self.parent_bases[slot] + vertex * PARENT_BYTES
-        ) & ~(PAGE_SIZE - 1)
-
-    def _visited_page(self, vertex: int, slot: int = 0) -> int:
-        return (
-            self.visited_bases[slot] + vertex * VISITED_BYTES
-        ) & ~(PAGE_SIZE - 1)
 
     # -- the benchmark -------------------------------------------------------------
 
@@ -265,23 +250,27 @@ class Graph500:
             slot: int = 0) -> Generator:
         """One traced BFS; returns (edges_traversed, parent array)."""
         graph = self.graph
-        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
-        parent[root] = root
-        yield from driver.access(self._parent_page(root, slot),
-                                 is_write=True)
-        yield from driver.access(self._visited_page(root, slot),
-                                 is_write=True)
-
         # Hoisted hot-loop locals: the BFS inner loop touches a page
-        # per array element and most of those are DRAM hits.
+        # per array element and most of those are DRAM hits, so each
+        # element's page is computed inline rather than by a call.
         try_hit = driver.try_hit
         access = driver.access
         xadj = graph.xadj
         adjacency = graph.adjacency
-        xadj_page = self._xadj_page
         adj_pages = self._adj_pages
-        visited_page = self._visited_page
-        parent_page = self._parent_page
+        page_mask = ~(PAGE_SIZE - 1)
+        xadj_base = self.xadj_base
+        visited_base = self.visited_bases[slot]
+        parent_base = self.parent_bases[slot]
+
+        # A list while the traversal runs (element reads and writes
+        # cost less than on an array); returned as the int64 array.
+        parent = [-1] * graph.num_vertices
+        parent[root] = root
+        yield from access((parent_base + root * PARENT_BYTES) & page_mask,
+                          is_write=True)
+        yield from access((visited_base + root * VISITED_BYTES) & page_mask,
+                          is_write=True)
 
         frontier = [root]
         edges_traversed = 0
@@ -290,26 +279,27 @@ class Graph500:
             for vertex in frontier:
                 start = int(xadj[vertex])
                 end = int(xadj[vertex + 1])
-                page = xadj_page(vertex)
+                page = (xadj_base + vertex * XADJ_BYTES) & page_mask
                 if not try_hit(page):
                     yield from access(page)
                 for page in adj_pages(start, end):
                     if not try_hit(page):
                         yield from access(page)
-                for neighbor in adjacency[start:end]:
-                    neighbor = int(neighbor)
+                for neighbor in adjacency[start:end].tolist():
                     edges_traversed += 1
-                    page = visited_page(neighbor, slot)
+                    page = (visited_base + neighbor * VISITED_BYTES) \
+                        & page_mask
                     if not try_hit(page):
                         yield from access(page)
                     if parent[neighbor] == -1:
                         parent[neighbor] = vertex
-                        page = parent_page(neighbor, slot)
+                        page = (parent_base + neighbor * PARENT_BYTES) \
+                            & page_mask
                         if not try_hit(page, is_write=True):
                             yield from access(page, is_write=True)
                         next_frontier.append(neighbor)
             frontier = next_frontier
-        return edges_traversed, parent
+        return edges_traversed, np.array(parent, dtype=np.int64)
 
     def run(self) -> Generator:
         """Load the graph, run the BFS trials, return a Graph500Result."""

@@ -1,11 +1,14 @@
 """Monitor-side prefetch bookkeeping: in-flight dedupe, the accuracy
 ledger (hits / wasted), and tracer breadcrumbs on silent drop paths."""
 
+import pytest
+
 from repro.core import FluidMemConfig
 from repro.errors import TransientStoreError
 from repro.kv import DramStore
 from repro.mem import PAGE_SIZE
 from repro.obs import Observability
+from repro.workloads import AccessDriver
 
 from tests.conftest import build_stack
 
@@ -126,6 +129,57 @@ def test_prefetch_hit_and_wasted_ledger():
 
     # Evict everything still resident: the untouched installs (3, 4)
     # are wasted work.
+    monitor.set_lru_capacity(2)
+
+    def churn(env):
+        for i in range(8, 16):
+            yield from port.access(base + i * PAGE_SIZE, is_write=True)
+
+    stack.run(churn(stack.env))
+    assert monitor.counters["prefetches_wasted"] == installed - 2
+    assert monitor.counters["prefetch_hits"] == 2
+
+
+def _driver_touch_try_hit(driver, vaddr):
+    if not driver.try_hit(vaddr):
+        yield from driver.access(vaddr)
+
+
+def _driver_touch_access(driver, vaddr):
+    yield from driver.access(vaddr)
+
+
+@pytest.mark.parametrize("touch", [
+    _driver_touch_try_hit, _driver_touch_access,
+], ids=["try_hit", "access"])
+def test_prefetch_ledger_credits_access_driver_hits(touch):
+    """The ledger is the same when the workload touches through an
+    AccessDriver (pmbench, Graph500, the Mongo model): the port's one
+    hit body credits the prefetcher, so a touched install is a hit and
+    is not later debited as wasted.  Driver hits are not LRU hits."""
+    stack, _store, vm, qemu, port, reg = make_prefetch_stack()
+    monitor = stack.monitor
+    base = evict_and_drain(stack, vm, port)
+    host = qemu.guest_to_host(base)
+
+    monitor._maybe_prefetch(FakeFault(host, reg.handles[0].region), reg)
+    stack.env.run()  # pages 1..4 installed by prefetch
+    installed = len(monitor._prefetched_addrs)
+    assert installed == 4
+    lru_hits = monitor.counters["lru_hits"]
+
+    driver = AccessDriver(stack.env, port)
+
+    def touch_two(env):
+        for i in (1, 2):
+            yield from touch(driver, base + i * PAGE_SIZE)
+        yield from driver.flush()
+
+    stack.run(touch_two(stack.env))
+    assert (driver.hits, driver.faults) == (2, 0)
+    assert monitor.counters["prefetch_hits"] == 2
+    assert monitor.counters["lru_hits"] == lru_hits
+
     monitor.set_lru_capacity(2)
 
     def churn(env):
