@@ -263,10 +263,13 @@ def _make_store(
     raise BenchError(f"unknown FluidMem backend {name!r}")
 
 
-#: Concurrent requests a swap device actually services in parallel.
-#: The target's engine largely serializes 4 KB requests; 2 models a
-#: little pipelining.  Fault-path reads therefore queue behind kswapd's
-#: write-back bursts — the congestion behind swap's latency spikes.
+#: Concurrent requests a swap device actually services in parallel (its
+#: queue depth).  The target's engine largely serializes 4 KB requests;
+#: 2 models a little pipelining.  A one-vCPU guest never fills it: it
+#: has at most two swap I/Os in flight, kswapd's one batch write and the
+#: fault's read or direct-reclaim write, so no request waits for a slot
+#: (none did at seed 42 in pmbench at 1.5x, 4x or 8x DRAM on any swap
+#: backend, nor in the Fig 4 and Fig 5 quick runs).
 SWAP_DEVICE_CONCURRENCY = 2
 
 

@@ -219,7 +219,7 @@ def _tenant(env, port, base: int, pattern, accesses: int):
         page, is_write = pattern(index)
         vaddr = base + page * PAGE_SIZE
         if not port.try_access(vaddr, is_write=is_write):
-            yield from port.access(vaddr, is_write=is_write)
+            yield from port.fault(vaddr, is_write)
 
 
 def _run_market_cell(payload: Dict[str, object]) -> Dict[str, object]:

@@ -8,9 +8,9 @@ devices — remote DRAM (``/dev/pmem0``), an NVMeoF target, and a local SSD
 skeleton.
 
 Devices expose 4 KB-sector reads/writes as simulation generators and
-enforce a bounded queue depth: when the queue is full, submitters wait,
-which is exactly the congestion behaviour that produces swap's latency
-plateaus under load (Fig. 3d–f).
+enforce a bounded queue depth: when the queue is full, submitters wait
+in FIFO order.  While nothing can contend, an I/O takes no queue token
+at all (see :meth:`BlockDevice.read`).
 """
 
 from __future__ import annotations
@@ -69,38 +69,68 @@ class BlockDevice(abc.ABC):
     # -- I/O ------------------------------------------------------------------
 
     def read(self, sector: int, nbytes: int = SECTOR_BYTES) -> Generator:
-        """Read ``nbytes`` at ``sector``; a simulation sub-process."""
+        """Read ``nbytes`` at ``sector``; a simulation sub-process.
+
+        A queue token is taken only when something could see it.  With
+        no scheduler installed, no waiter and a free slot, the service
+        time is drawn first and the token taken only if the clock cannot
+        advance in place.  On the in-place path no process runs between
+        where the token would be taken and returned, and returning it
+        would wake no one, so its absence cannot be observed.
+        """
         self._check(sector, nbytes)
-        start = self.env.now
-        slot = self._queue.try_acquire()
-        if slot is None:
-            slot = self._queue.request()
+        env = self.env
+        start = env._now
+        queue = self._queue
+        slot = None
+        if (
+            env.scheduler is not None
+            or queue._queue
+            or len(queue._users) >= queue.capacity
+        ):
+            slot = queue.request()
             yield slot
         try:
             service_us = self.read_service_us(nbytes)
-            if not self.env.try_advance(service_us):
-                yield self.env.timeout(service_us)
+            if not env.try_advance(service_us):
+                if slot is None:
+                    slot = queue.try_acquire()
+                yield env.timeout(service_us)
         finally:
-            self._queue.release(slot)
+            if slot is not None:
+                queue.release(slot)
         self.counters.incr("reads")
-        self.read_latency.record(self.env.now - start)
+        self.read_latency.record(env._now - start)
 
     def write(self, sector: int, nbytes: int = SECTOR_BYTES) -> Generator:
-        """Write ``nbytes`` at ``sector``; a simulation sub-process."""
+        """Write ``nbytes`` at ``sector``; a simulation sub-process.
+
+        Takes a queue token only when something could see it, as
+        :meth:`read` does.
+        """
         self._check(sector, nbytes)
-        start = self.env.now
-        slot = self._queue.try_acquire()
-        if slot is None:
-            slot = self._queue.request()
+        env = self.env
+        start = env._now
+        queue = self._queue
+        slot = None
+        if (
+            env.scheduler is not None
+            or queue._queue
+            or len(queue._users) >= queue.capacity
+        ):
+            slot = queue.request()
             yield slot
         try:
             service_us = self.write_service_us(nbytes)
-            if not self.env.try_advance(service_us):
-                yield self.env.timeout(service_us)
+            if not env.try_advance(service_us):
+                if slot is None:
+                    slot = queue.try_acquire()
+                yield env.timeout(service_us)
         finally:
-            self._queue.release(slot)
+            if slot is not None:
+                queue.release(slot)
         self.counters.incr("writes")
-        self.write_latency.record(self.env.now - start)
+        self.write_latency.record(env._now - start)
 
     def _check(self, sector: int, nbytes: int) -> None:
         if nbytes <= 0 or nbytes % SECTOR_BYTES:

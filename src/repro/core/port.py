@@ -15,12 +15,16 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import PageTableError, VcpuDeadlockError
-from ..mem import PageKind
+from ..kernel import check_fault_address
+from ..mem import PAGE_SIZE, PageKind
 from ..sim import Environment
 from ..vm import GuestVM, MemoryPort, QemuProcess, VirtMode
 from .monitor import Monitor, VmRegistration
 
 __all__ = ["FluidMemoryPort"]
+
+#: Low address bits that must be clear on a page address.
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 class FluidMemoryPort(MemoryPort):
@@ -57,8 +61,9 @@ class FluidMemoryPort(MemoryPort):
         A hit sets what ``Page.read``/``Page.write`` set, credits the
         prefetcher when it installed the page (``prefetch_hits``), and
         feeds the LRU-reordering ablation.  It never counts
-        ``lru_hits``: that is :meth:`try_access`'s and :meth:`access`'s
-        port-level count, which an access driver's hits do not enter.
+        ``lru_hits``: that is :meth:`try_access`'s port-level count
+        (and so :meth:`access`'s), which an access driver's hits do not
+        enter.
         """
         host = self.qemu.guest_to_host(vaddr)
         pte = self.qemu.page_table.get(host)
@@ -93,8 +98,8 @@ class FluidMemoryPort(MemoryPort):
     ) -> bool:
         """:meth:`try_touch` plus the port-level ``lru_hits`` count.
 
-        ``lru_hits`` counts the hits of this method and of
-        :meth:`access` only; an access driver's hits go to
+        ``lru_hits`` counts the hits of this method only, which is also
+        :meth:`access`'s hit branch; an access driver's hits go to
         :meth:`try_touch` directly and are not counted here.
         """
         if self.try_touch(vaddr, is_write):
@@ -106,53 +111,48 @@ class FluidMemoryPort(MemoryPort):
         self.hit_runs += 1
         self.hit_run_pages += count
 
-    def access(
+    def fault(
         self,
         vaddr: int,
         is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> Generator:
-        """Access a guest page; blocks through the fault path on a miss.
+        """The port's one miss body: halt the vCPU on a userfaultfd fault.
 
-        ``kind`` is accepted for interface parity with the swap port but
-        deliberately ignored: FluidMem treats every page identically —
-        that indifference *is* full memory disaggregation.
+        Translates the guest address once and does not probe the table:
+        the caller found the page missing.  A misaligned host address
+        raises ``raise_fault``'s ``UffdError`` before the VM exit is
+        charged.  ``kind`` is accepted for interface parity with the
+        swap port but deliberately ignored: FluidMem treats every page
+        identically — that indifference *is* full memory
+        disaggregation.  The access retires on the freshly mapped page.
         """
         host = self.qemu.guest_to_host(vaddr)
-        if host in self.qemu.page_table:
-            # Resident: the monitor never sees this access — the whole
-            # point of keeping hot pages local (the "LRU hit" path).
-            # The membership test only routes; the hit is retired by
-            # the one hit body, so a miss translates the address once.
-            self.try_access(vaddr, is_write)
-            return None
-
-        if (
-            self.vm.virt_mode is VirtMode.KVM
-            and self.monitor.lru._capacity < 2
-        ):
+        if host & _OFFSET_MASK or host >> 64:
+            check_fault_address(host)
+        monitor = self.monitor
+        if self.vm.virt_mode is VirtMode.KVM and monitor.lru._capacity < 2:
             # Table III, last row: KVM hardware-assisted virtualization
             # deadlocks at a 1-page footprint because resolving a fault
             # triggers further faults.
             raise VcpuDeadlockError(
                 f"{self.vm.name}: KVM fault handling deadlocks with a "
-                f"{self.monitor.lru.capacity}-page footprint"
+                f"{monitor.lru.capacity}-page footprint"
             )
 
         # The VM exit + vCPU halt before the kernel sees the fault.
-        vm_exit_us = self.monitor.config.latency.vm_exit_overhead
-        if not self.env.try_advance(vm_exit_us):
-            yield self.env.timeout(vm_exit_us)
-        fault = self.monitor.uffd.raise_fault(
-            host, self.qemu.pid, is_write
-        )
+        env = self.env
+        vm_exit_us = monitor.config.latency.vm_exit_overhead
+        if not env.try_advance(vm_exit_us):
+            yield env.timeout(vm_exit_us)
+        fault = monitor.uffd.raise_fault(host, self.qemu.pid, is_write)
         yield fault.resolved
-        # The access retires on the freshly mapped page.
         page = self.qemu.page_table.entry(host).page
+        # What Page.write/Page.read set.
+        page.referenced = True
         if is_write:
-            page.write()
-        else:
-            page.read()
+            page.dirty = True
+            page.version += 1
         return page
 
     @property

@@ -14,7 +14,13 @@ from .latency import SwapPathLatency, UffdLatency
 from .lru import ActiveInactiveLists
 from .mm import FILE_REGION_BASE, GuestMemoryManager
 from .swap import SwapSlotMap, SwapSubsystem
-from .uffd import UffdFault, UffdOps, UffdRegion, Userfaultfd
+from .uffd import (
+    UffdFault,
+    UffdOps,
+    UffdRegion,
+    Userfaultfd,
+    check_fault_address,
+)
 
 __all__ = [
     "UffdLatency",
@@ -23,6 +29,7 @@ __all__ = [
     "UffdOps",
     "UffdFault",
     "UffdRegion",
+    "check_fault_address",
     "ActiveInactiveLists",
     "SwapSubsystem",
     "SwapSlotMap",

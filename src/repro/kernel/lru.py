@@ -91,28 +91,28 @@ class ActiveInactiveLists:
         if count <= 0:
             raise KernelError(f"victim count must be positive, got {count}")
         self._refill_inactive()
+        inactive, active = self._inactive, self._active
         victims: List[Page] = []
         scanned = 0
         scan_limit = max(count * scan_limit_factor, count)
-        while (
-            self._inactive
-            and len(victims) < count
-            and scanned < scan_limit
-        ):
-            vaddr, page = self._inactive.popitem(last=False)
+        while inactive and len(victims) < count and scanned < scan_limit:
+            vaddr, page = inactive.popitem(last=False)
             scanned += 1
-            if page.clear_referenced():
+            # Test and clear the referenced bit.
+            if page.referenced:
+                page.referenced = False
                 # Second chance: promote.
-                self._active[vaddr] = page
+                active[vaddr] = page
                 continue
             victims.append(page)
         return victims
 
     def _refill_inactive(self) -> None:
-        while self._active and len(self._inactive) < len(self._active):
-            vaddr, page = self._active.popitem(last=False)
-            page.clear_referenced()
-            self._inactive[vaddr] = page
+        inactive, active = self._inactive, self._active
+        while active and len(inactive) < len(active):
+            vaddr, page = active.popitem(last=False)
+            page.referenced = False
+            inactive[vaddr] = page
 
     # -- working-set estimation (harvester hook) --------------------------------
 

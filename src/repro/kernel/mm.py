@@ -31,6 +31,7 @@ from ..mem import (
     Page,
     PageKind,
     PageTable,
+    check_page_address,
 )
 from ..sim import CounterSet, Environment, LatencyRecorder
 from .kswapd import Kswapd
@@ -44,6 +45,9 @@ __all__ = ["GuestMemoryManager", "FILE_REGION_BASE"]
 FILE_REGION_BASE = 1 << 44
 #: Address stride separating files in the synthetic file region.
 FILE_STRIDE = 1 << 36
+#: Low address bits that must be clear on a page address (the inline
+#: guard before :func:`~repro.mem.check_page_address`).
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 class GuestMemoryManager:
@@ -135,45 +139,65 @@ class GuestMemoryManager:
     def access_fault(
         self,
         vaddr: int,
-        is_write: bool,
+        is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
         mlocked: bool = False,
     ) -> Generator:
-        """Handle a fault on a non-resident page; returns the Page."""
-        start = self.env.now
-        entry_us = (
-            self.latency.fault_entry_us
-            + self.latency.virtualization_overhead_us
-        )
-        if not self.env.try_advance(entry_us):
-            yield self.env.timeout(entry_us)
+        """Handle a fault on a non-resident page; returns the Page.
 
-        if self.swap is not None and self.swap.has_entry(vaddr):
-            page, frame, prefetched = yield from self.swap.swap_in(
-                vaddr, page_cluster=self.latency.page_cluster
+        The guest kernel's only fault body, and the swap port's miss
+        body: it does not probe the table, so the caller must know the
+        page is not resident.  A misaligned or out-of-range address
+        raises ``Page``'s ``ValueError`` before anything is charged.
+        """
+        if vaddr & _OFFSET_MASK or vaddr >> 64:
+            check_page_address(vaddr)
+        env = self.env
+        start = env._now
+        latency = self.latency
+        entry_us = (
+            latency.fault_entry_us + latency.virtualization_overhead_us
+        )
+        if not env.try_advance(entry_us):
+            yield env.timeout(entry_us)
+
+        frames = self.frames
+        swap = self.swap
+        if swap is not None and swap.has_entry(vaddr):
+            page, frame, prefetched = yield from swap.swap_in(
+                vaddr, page_cluster=latency.page_cluster
             )
             if frame is None:
-                frame = yield from self._allocate_frame()
-            self._map_prefetched(prefetched)
+                frame = frames.try_allocate()
+                if frame is None:
+                    frame = yield from self._reclaim_frame()
+            if prefetched:
+                self._map_prefetched(prefetched)
             self.counters.incr("major_faults")
         else:
             # Anonymous (or first-touch) minor fault: zero-fill.
-            minor_us = self.latency.minor_fault_us
-            if not self.env.try_advance(minor_us):
-                yield self.env.timeout(minor_us)
-            frame = yield from self._allocate_frame()
+            minor_us = latency.minor_fault_us
+            if not env.try_advance(minor_us):
+                yield env.timeout(minor_us)
+            frame = frames.try_allocate()
+            if frame is None:
+                frame = yield from self._reclaim_frame()
             page = Page(vaddr=vaddr, kind=kind, mlocked=mlocked)
             self.counters.incr("minor_faults")
 
         self.table.map(vaddr, frame, page)
         if self._reclaimable(page):
             self._lru_insert_with_workingset(page)
+        # What Page.write/Page.read set.
+        page.referenced = True
         if is_write:
-            page.write()
-        else:
-            page.read()
-        self._check_watermarks()
-        self.fault_latency.record(self.env.now - start)
+            page.dirty = True
+            page.version += 1
+        # Kswapd.should_wake's test, inline: the same floats.
+        if frames.free_frames / frames.total_frames < \
+                self.kswapd.low_watermark:
+            self._wake_kswapd()
+        self.fault_latency.record(env._now - start)
         return page
 
     def _lru_insert_with_workingset(self, page: Page) -> None:
@@ -226,9 +250,9 @@ class GuestMemoryManager:
             return self.swap is not None
         return True  # FILE_BACKED
 
-    def _allocate_frame(self) -> Generator:
-        """Get a free frame, entering direct reclaim if none are left."""
-        frame = self.frames.try_allocate()
+    def _reclaim_frame(self) -> Generator:
+        """Direct reclaim until a frame is free; the caller found none."""
+        frame = None
         attempts = 0
         while frame is None:
             attempts += 1
@@ -245,9 +269,14 @@ class GuestMemoryManager:
 
     def _check_watermarks(self) -> None:
         if self.kswapd.should_wake():
-            if not self.kswapd.running:
-                self.kswapd.start()
-            self.kswapd.kick()
+            self._wake_kswapd()
+
+    def _wake_kswapd(self) -> None:
+        """Free memory is below the low watermark: start or kick kswapd."""
+        kswapd = self.kswapd
+        if not kswapd.running:
+            kswapd.start()
+        kswapd.kick()
 
     # -- reclaim ------------------------------------------------------------------
 
@@ -333,7 +362,9 @@ class GuestMemoryManager:
             return True
 
         yield self.env.timeout(self.latency.fault_entry_us)
-        frame = yield from self._allocate_frame()
+        frame = self.frames.try_allocate()
+        if frame is None:
+            frame = yield from self._reclaim_frame()
         sector = page_index % self.data_disk.num_sectors
         yield from self.data_disk.read(sector, SECTOR_BYTES)
         page = Page(vaddr=vaddr, kind=PageKind.FILE_BACKED)
@@ -378,7 +409,9 @@ class GuestMemoryManager:
         yield from self.data_disk.read(sector, nbytes)
         for index in missing:
             vaddr = self.file_vaddr(file_id, index)
-            frame = yield from self._allocate_frame()
+            frame = self.frames.try_allocate()
+            if frame is None:
+                frame = yield from self._reclaim_frame()
             page = Page(vaddr=vaddr, kind=PageKind.FILE_BACKED)
             self.table.map(vaddr, frame, page)
             self._lru_insert_with_workingset(page)

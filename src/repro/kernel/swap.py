@@ -18,7 +18,7 @@ from typing import Dict, Generator, List
 
 from ..blockdev import BlockDevice, SECTOR_BYTES
 from ..errors import OutOfSwapError, SwapError
-from ..mem import FrameAllocator, Page, PageTable
+from ..mem import FrameAllocator, Page, PageKind, PageTable
 from ..sim import CounterSet, Environment
 from .latency import SwapPathLatency
 
@@ -148,21 +148,28 @@ class SwapSubsystem:
             return
         entries = []
         first_slot = None
+        swap_entries = self._entries
+        slot_vaddr = self._slot_vaddr
+        swap_cache = self._swap_cache
+        allocate_slot = self.slots.allocate
+        anonymous = PageKind.ANONYMOUS
         for page in pages:
-            if not page.evictable_by_swap:
+            vaddr = page.vaddr
+            # Page.evictable_by_swap, inline: anonymous, not mlocked.
+            if page.kind is not anonymous or page.mlocked:
                 raise SwapError(
                     f"{page!r} ({page.kind.value}) cannot be swapped out"
                 )
-            if page.vaddr in self._entries:
+            if vaddr in swap_entries:
                 raise SwapError(f"{page!r} already has a swap entry")
-            slot = self.slots.allocate()
+            slot = allocate_slot()
             if first_slot is None:
                 first_slot = slot
-            pte = table.unmap(page.vaddr)
-            self._entries[page.vaddr] = slot
-            self._slot_vaddr[slot] = page.vaddr
-            self._swap_cache[page.vaddr] = (page, pte.frame)
-            entries.append((page, pte.frame))
+            frame = table.unmap(vaddr).frame
+            swap_entries[vaddr] = slot
+            slot_vaddr[slot] = vaddr
+            swap_cache[vaddr] = (page, frame)
+            entries.append((page, frame))
         # Slots are usually contiguous (sequential allocation); when
         # frees have scattered them, clamp the run so the single-request
         # cost model stays within device bounds.
@@ -170,13 +177,18 @@ class SwapSubsystem:
             first_slot, self.device.num_sectors - len(entries)
         )
         yield from self.device.write(sector, SECTOR_BYTES * len(entries))
+        swapped_out = 0
         for page, frame in entries:
-            cached = self._swap_cache.get(page.vaddr)
+            cached = swap_cache.get(page.vaddr)
             if cached is not None and cached[0] is page:
-                del self._swap_cache[page.vaddr]
+                del swap_cache[page.vaddr]
                 frames.free(frame)
-                self.counters.incr("swapped_out")
+                swapped_out += 1
             # else: stolen back by a racing fault mid-writeback.
+        if swapped_out:
+            # One count per batch, made where the first per-page count
+            # was, so the counter key appears at the same point.
+            self.counters.incr("swapped_out", by=swapped_out)
 
     # -- swap-in (the fault path) ------------------------------------------------
 
@@ -234,7 +246,10 @@ class SwapSubsystem:
         if not env.try_advance(completion_us):
             yield env.timeout(completion_us)
 
-        self._forget(vaddr, slot)
+        # _forget, inline: drop the entry and free its slot.
+        del self._entries[vaddr]
+        self._slot_vaddr.pop(slot, None)
+        self.slots.release(slot)
         page = Page(vaddr=vaddr)
         page.dirty = True  # swapped-in anonymous pages are dirty again
         self.counters.incr("swapped_in")

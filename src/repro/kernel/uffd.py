@@ -32,7 +32,24 @@ from ..sim import CounterSet, Environment, Event, Store
 from ..sim.core import PENDING
 from .latency import UffdLatency
 
-__all__ = ["UffdFault", "UffdRegion", "Userfaultfd", "UffdOps"]
+__all__ = [
+    "UffdFault",
+    "UffdRegion",
+    "Userfaultfd",
+    "UffdOps",
+    "check_fault_address",
+]
+
+
+def check_fault_address(addr: int) -> None:
+    """Raise the ``UffdError`` :meth:`Userfaultfd.raise_fault` raises
+    for a misaligned ``addr`` (``ValueError`` beyond 64 bits).
+
+    Callers test ``addr & (PAGE_SIZE - 1) or addr >> 64`` inline and
+    call this only when that trips.
+    """
+    if not is_page_aligned(addr):
+        raise UffdError(f"fault address {addr:#x} not page aligned")
 
 
 class UffdFault:
@@ -153,9 +170,8 @@ class Userfaultfd:
         ``event_deliver_us`` and happens asynchronously, like the real
         fd write + epoll wake-up.
         """
-        if (addr & (PAGE_SIZE - 1) or addr >> 64) and \
-                not is_page_aligned(addr):
-            raise UffdError(f"fault address {addr:#x} not page aligned")
+        if addr & (PAGE_SIZE - 1) or addr >> 64:
+            check_fault_address(addr)
         region = self.find_region(addr, pid)
         if region is None:
             raise UffdError(

@@ -23,7 +23,7 @@ from .addr import (
     pages_for_bytes,
 )
 from .frame import FrameAllocator
-from .page import ZERO_PAGE_DATA, Page, PageKind
+from .page import ZERO_PAGE_DATA, Page, PageKind, check_page_address
 from .pagetable import PageTable, PageTableEntry
 from .region import AddressSpace, MemoryRegion
 
@@ -45,6 +45,7 @@ __all__ = [
     "Page",
     "PageKind",
     "ZERO_PAGE_DATA",
+    "check_page_address",
     "FrameAllocator",
     "PageTable",
     "PageTableEntry",

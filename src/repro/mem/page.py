@@ -18,7 +18,7 @@ from typing import Optional
 
 from .addr import PAGE_SIZE, is_page_aligned
 
-__all__ = ["PageKind", "Page", "ZERO_PAGE_DATA"]
+__all__ = ["PageKind", "Page", "ZERO_PAGE_DATA", "check_page_address"]
 
 #: Contents of the kernel's shared zero page.
 ZERO_PAGE_DATA = bytes(PAGE_SIZE)
@@ -26,6 +26,17 @@ ZERO_PAGE_DATA = bytes(PAGE_SIZE)
 #: Inline alignment guard for the hot ``Page.__init__`` path: only call
 #: the full (range-checking, exception-raising) helper when this trips.
 _OFFSET_MASK = PAGE_SIZE - 1
+
+
+def check_page_address(vaddr: int) -> None:
+    """Raise the ``ValueError`` a :class:`Page` at ``vaddr`` would raise.
+
+    Callers test ``vaddr & (PAGE_SIZE - 1) or vaddr >> 64`` inline and
+    call this only when that trips, so a fault path can reject a bad
+    address before it charges anything.
+    """
+    if not is_page_aligned(vaddr):
+        raise ValueError(f"page address {vaddr:#x} is not page aligned")
 
 
 class PageKind(enum.Enum):
@@ -79,9 +90,8 @@ class Page:
         data: Optional[bytes] = None,
         mlocked: bool = False,
     ) -> None:
-        if (vaddr & _OFFSET_MASK or vaddr >> 64) and \
-                not is_page_aligned(vaddr):
-            raise ValueError(f"page address {vaddr:#x} is not page aligned")
+        if vaddr & _OFFSET_MASK or vaddr >> 64:
+            check_page_address(vaddr)
         if data is not None and len(data) != PAGE_SIZE:
             raise ValueError(
                 f"page data must be exactly {PAGE_SIZE} bytes, "
@@ -105,8 +115,9 @@ class Page:
         """Record a store to this page (marks dirty, bumps version).
 
         The hit bodies (``GuestMemoryManager.try_touch``,
-        ``FluidMemoryPort.try_touch``) set the same fields inline, as
-        :meth:`read` and this method with no ``data`` would.
+        ``FluidMemoryPort.try_touch``) and the guest kernel's fault body
+        (``GuestMemoryManager.access_fault``) set the same fields
+        inline, as :meth:`read` and this method with no ``data`` would.
         """
         if data is not None:
             if len(data) != PAGE_SIZE:
@@ -123,12 +134,6 @@ class Page:
         """Record a load from this page; returns contents if tracked."""
         self.referenced = True
         return self.data
-
-    def clear_referenced(self) -> bool:
-        """Clear and return the referenced bit (kswapd's aging scan)."""
-        was = self.referenced
-        self.referenced = False
-        return was
 
     def __repr__(self) -> str:
         flags = "".join(

@@ -67,7 +67,7 @@ class MemoryPort(abc.ABC):
 
         The port's one hit body: a single page-table probe that marks
         the page on a hit and changes nothing on a miss.  :meth:`touch`,
-        the hit branches of :meth:`try_access` and :meth:`access`, and
+        :meth:`try_access` (and so :meth:`access`'s hit branch), and
         every hit an :class:`~repro.workloads.AccessDriver` retires go
         through it.  It keeps no port-level hit count: FluidMem's
         ``lru_hits`` counts only the hits of :meth:`try_access` and
@@ -81,14 +81,41 @@ class MemoryPort(abc.ABC):
         """:meth:`try_touch` on a page that must be resident; raises
         ``PageTableError`` when it is not."""
 
-    @abc.abstractmethod
+    def fault(
+        self,
+        vaddr: int,
+        is_write: bool = False,
+        kind: PageKind = PageKind.ANONYMOUS,
+    ) -> Generator:
+        """The port's one miss body: fault the page in without a probe.
+
+        The caller must know the page is not resident: it calls this
+        at the simulated instant its own :meth:`try_access` or
+        :meth:`try_touch` missed, as :meth:`access` and an
+        :class:`~repro.workloads.AccessDriver` do.  It returns the
+        installed page.  A
+        misaligned or out-of-range address raises before anything is
+        charged, with the exception the port always raised for it
+        (``ValueError`` from ``Page`` on swap, ``UffdError`` on
+        FluidMem).  Every port provides it (``SwapMemoryPort`` binds
+        the guest kernel's ``access_fault``).
+        """
+        raise NotImplementedError
+
     def access(
         self,
         vaddr: int,
         is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> Generator:
-        """Full access path: cheap when resident, fault otherwise."""
+        """Full access path: :meth:`try_access`, else :meth:`fault`.
+
+        Returns None on a hit and the installed page on a fault.
+        """
+        if self.try_access(vaddr, is_write, kind):
+            return None
+        page = yield from self.fault(vaddr, is_write, kind)
+        return page
 
     def try_access(
         self,
@@ -98,12 +125,13 @@ class MemoryPort(abc.ABC):
     ) -> bool:
         """Non-generator fast path for the resident case.
 
-        Returns True iff the access completed (the page was resident);
-        behavior is then identical to :meth:`access`'s hit branch,
-        including any port-level hit count (FluidMem's ``lru_hits``;
-        :meth:`try_touch` keeps none).  On False nothing happened — the
-        caller must fall back to ``yield from access(...)``.  ``kind``
-        only matters on the fault path, which this method never takes.
+        Returns True iff the access completed (the page was resident),
+        counting any port-level hit (FluidMem's ``lru_hits``;
+        :meth:`try_touch` keeps none); :meth:`access`'s hit branch is
+        this method.  On False nothing happened — the caller falls back
+        to ``yield from fault(...)`` at once, or to ``yield from
+        access(...)``.  ``kind`` only matters on the fault path, which
+        this method never takes.
         """
         return self.try_touch(vaddr, is_write)
 
@@ -130,26 +158,17 @@ class SwapMemoryPort(MemoryPort):
 
     def __init__(self, mm: GuestMemoryManager) -> None:
         self.mm = mm
-        #: The hit body is the guest kernel's own, bound here so that a
-        #: hit costs one call rather than a wrapper and the call inside.
+        #: The hit and miss bodies are the guest kernel's own, bound
+        #: here so that each costs one call rather than a wrapper and
+        #: the call inside.
         self.try_touch = mm.try_touch
+        self.fault = mm.access_fault
 
     def is_resident(self, vaddr: int) -> bool:
         return self.mm.is_resident(vaddr)
 
     def touch(self, vaddr: int, is_write: bool = False) -> None:
         self.mm.touch(vaddr, is_write)
-
-    def access(
-        self,
-        vaddr: int,
-        is_write: bool = False,
-        kind: PageKind = PageKind.ANONYMOUS,
-    ) -> Generator:
-        if self.try_touch(vaddr, is_write):
-            return None
-        page = yield from self.mm.access_fault(vaddr, is_write, kind=kind)
-        return page
 
     @property
     def resident_capacity(self) -> Optional[int]:
@@ -294,7 +313,7 @@ class GuestVM:
         self._boot_pages = list(self.boot_profile.pages(self.boot_base))
         for vaddr, kind, mlocked in self._boot_pages:
             if not port.try_access(vaddr, is_write=True, kind=kind):
-                yield from port.access(vaddr, is_write=True, kind=kind)
+                yield from port.fault(vaddr, True, kind)
             if mlocked:
                 # Reflect the mlock on the installed page.
                 self._mark_mlocked(port, vaddr)

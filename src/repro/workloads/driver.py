@@ -25,6 +25,14 @@ makes a flush due in :meth:`AccessDriver.try_hit` (one in
 its clock advance succeeded, because a False return must leave
 everything unchanged.  Driver hits are not port-level hits: FluidMem's
 ``lru_hits`` counts only the port's own ``try_access``/``access`` hits.
+
+A miss costs one probe too.  When ``try_hit`` returns False because
+its own probe missed, the ``access`` fallback that follows at once does
+not probe again: it settles the pending hit time and calls the port's
+one miss body, :meth:`~repro.vm.MemoryPort.fault`.  Only when that
+settling had to wait on a timeout -- so other processes ran and may
+have mapped the page -- does it call the port's ``access``, which
+probes again.
 """
 
 from __future__ import annotations
@@ -70,6 +78,9 @@ class AccessDriver:
         #: the port via ``note_hit_run`` when the run ends (metrics-
         #: silent — purely batching-effectiveness accounting).
         self._run_hits = 0
+        #: The address whose probe in :meth:`try_hit` just missed; the
+        #: :meth:`access` fallback that follows consumes it.
+        self._missed: Optional[int] = None
         self.hits = 0
         self.faults = 0
 
@@ -79,18 +90,20 @@ class AccessDriver:
         Returns True iff the page was resident *and* any flush that came
         due could be settled as a pure clock advance.  On False nothing
         has been mutated; the caller must fall back to
-        ``yield from access(...)``, which then performs the access
-        (including this hit's accounting) exactly as the slow path
-        always did.
+        ``yield from access(...)`` at once, which then performs the
+        access (including this hit's accounting) exactly as the slow
+        path always did.  When the False came from a probe that missed,
+        the address is remembered so that ``access`` skips its own.
         """
         port = self.port
         if self._hits_since_flush + 1 >= self.flush_every:
             # Committing this hit makes a flush due; take the fast path
             # only if the whole batch settles as a clock advance, and
             # touch the page only once it has.
-            if not port.is_resident(vaddr) or not self.env.try_advance(
-                self._pending_us + self.hit_cost_us
-            ):
+            if not port.is_resident(vaddr):
+                self._missed = vaddr
+                return False
+            if not self.env.try_advance(self._pending_us + self.hit_cost_us):
                 return False
             self._pending_us = 0.0
             self._hits_since_flush = 0
@@ -99,6 +112,7 @@ class AccessDriver:
             port.touch(vaddr, is_write)
         else:
             if not port.try_touch(vaddr, is_write):
+                self._missed = vaddr
                 return False
             self._pending_us += self.hit_cost_us
             self._hits_since_flush += 1
@@ -118,8 +132,18 @@ class AccessDriver:
         is_write: bool = False,
         kind: PageKind = PageKind.ANONYMOUS,
     ) -> Generator:
-        """Touch one page; cheap on a hit, full fault path on a miss."""
-        if self.port.try_touch(vaddr, is_write):
+        """Touch one page; cheap on a hit, the port's miss body on a miss.
+
+        The fallback after a False :meth:`try_hit`.  It probes the page
+        unless ``try_hit``'s own probe of it just missed.  On a miss it
+        settles the pending hit time, then calls ``port.fault``; if the
+        settling had to wait on a timeout it calls ``port.access``
+        instead, which probes again, since the page may have been
+        mapped meanwhile.
+        """
+        port = self.port
+        missed, self._missed = self._missed, None
+        if missed != vaddr and port.try_touch(vaddr, is_write):
             self.hits += 1
             self._pending_us += self.hit_cost_us
             self._hits_since_flush += 1
@@ -133,10 +157,12 @@ class AccessDriver:
                 yield from self.flush()
             return
         # Miss: settle accumulated hit time first so ordering is sane.
-        if self._pending_us > 0.0:
-            yield from self.flush()
+        fault = port.fault
+        if self._pending_us > 0.0 and (yield from self.flush()):
+            # Other processes ran during the wait: probe again.
+            fault = port.access
         started = self.env._now
-        yield from self.port.access(vaddr, is_write, kind=kind)
+        yield from fault(vaddr, is_write, kind)
         self.faults += 1
         if self.latency is not None:
             self.latency.record(self.env._now - started)
@@ -146,7 +172,8 @@ class AccessDriver:
 
         Prefers a direct clock advance when no earlier event exists (and
         no schedule policy is watching); otherwise falls back to the
-        timeout this method always issued.
+        timeout this method always issued.  Returns True iff it waited
+        on that timeout, so other processes may have run meanwhile.
         """
         if self._run_hits:
             self.port.note_hit_run(self._run_hits)
@@ -156,6 +183,8 @@ class AccessDriver:
             self._hits_since_flush = 0
             if not self.env.try_advance(pending):
                 yield self.env.timeout(pending)
+                return True
+        return False
 
     @property
     def total_accesses(self) -> int:

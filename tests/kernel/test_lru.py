@@ -59,6 +59,9 @@ def test_referenced_page_gets_second_chance():
     assert cold in cold_first
     assert hot not in cold_first
     assert lists.active_count >= 1
+    # The scan cleared the bit it tested: hot must be touched again to
+    # earn another chance.
+    assert not hot.referenced
 
 
 def test_hot_page_survives_many_rounds():

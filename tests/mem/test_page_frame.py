@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import OutOfFramesError
+from repro.kernel import ActiveInactiveLists
 from repro.mem import PAGE_SIZE, FrameAllocator, Page, PageKind, ZERO_PAGE_DATA
 
 
@@ -65,10 +66,15 @@ def test_read_sets_referenced():
 
 
 def test_clear_referenced_second_chance():
+    """The referenced bit buys one reprieve: reclaim's scan clears it
+    and spares the page, and the next scan takes it."""
     page = Page(vaddr=0)
     page.read()
-    assert page.clear_referenced() is True
-    assert page.clear_referenced() is False
+    lists = ActiveInactiveLists()
+    lists.insert(page)
+    assert lists.select_victims(1) == []
+    assert not page.referenced
+    assert lists.select_victims(1) == [page]
 
 
 def test_repr_is_informative():

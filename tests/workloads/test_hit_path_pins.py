@@ -180,13 +180,31 @@ def test_graph500_matches_pin_and_reference(
         assert digest(graph500_outputs(backend, wss_of_dram)) == pinned
 
 
+def side_effects(platform):
+    """What a fault charges: the clock, used frames and the counters of
+    the guest kernel (swap) or of the monitor and uffd (FluidMem)."""
+    if platform.monitor is not None:
+        frames = platform.monitor.ops.frames
+        owners = (platform.monitor, platform.monitor.uffd)
+    else:
+        frames = platform.mm.frames
+        owners = (platform.mm, platform.mm.swap)
+    return (
+        platform.env.now,
+        frames.used_frames,
+        tuple(counters(owner) for owner in owners),
+    )
+
+
 @pytest.mark.parametrize("backend,error", [
     ("fluidmem-dram", UffdError),
     ("swap-dram", ValueError),
 ])
 def test_misaligned_address_through_driver_still_raises(backend, error):
     """The hit probe skips the alignment check: a misaligned address
-    can only miss, and the miss path rejects it as it always did."""
+    can only miss, and the port's miss body rejects it, with the error
+    it always raised, before it charges the clock, takes a frame or
+    counts a fault."""
     platform = build_platform(backend, memory_scale=MEMORY_SCALE, seed=SEED)
     driver = AccessDriver(platform.env, platform.port)
     base = platform.workload_base
@@ -198,7 +216,9 @@ def test_misaligned_address_through_driver_still_raises(backend, error):
     assert platform.port.is_resident(base)
     misaligned = base + PAGE_SIZE // 2
     hits, faults = driver.hits, driver.faults
+    before = side_effects(platform)
     assert not driver.try_hit(misaligned)
     with pytest.raises(error, match="not page aligned"):
         platform.run(access(misaligned))
     assert (driver.hits, driver.faults) == (hits, faults)
+    assert side_effects(platform) == before
