@@ -149,21 +149,24 @@ class Monitor:
         self.fault_latency = LatencyRecorder(
             f"{name}.fault", max_samples=500_000
         )
-        # Lazily cached bound observers + epilogue histograms for the
-        # fault path.  Each is created at its first actual record
-        # (eager creation would add empty instruments to the --metrics
-        # document, DESIGN.md §17).
-        self._ob_dispatch = None
-        self._ob_lookup = None
-        self._ob_insert_hash = None
-        self._ob_insert_lru = None
-        self._ob_zeropage = None
-        self._ob_copy = None
-        self._ob_wake = None
-        self._ob_read = None
-        self._ob_update = None
-        self._ob_remap = None
-        self._ob_write = None
+        # Lazily cached phase histograms (the Profiler's) + epilogue
+        # histograms for the fault path.  Each is created at its first
+        # actual record (eager creation would add empty instruments to
+        # the --metrics document, DESIGN.md §17).  A phase sample is
+        # non-negative by construction, so it is appended to the
+        # retained samples while they are under the cap and recorded
+        # past it (DESIGN.md §12).
+        self._ph_dispatch = None
+        self._ph_lookup = None
+        self._ph_insert_hash = None
+        self._ph_insert_lru = None
+        self._ph_zeropage = None
+        self._ph_copy = None
+        self._ph_wake = None
+        self._ph_read = None
+        self._ph_update = None
+        self._ph_remap = None
+        self._ph_write = None
         self._h_fault_latency = None
         self._h_evict_latency = None
         self._h_path_latency: Dict[str, object] = {}
@@ -281,11 +284,11 @@ class Monitor:
         finally:
             self._handler_slots.release(token)
 
-    def _mk_observer(self, attr: str, path: CodePath):
-        """Create + cache the bound observer for one code path."""
-        observe = self.profiler.observer(path)
-        setattr(self, attr, observe)
-        return observe
+    def _phase(self, attr: str, path: CodePath):
+        """Create + cache the profiler histogram of one code path."""
+        histogram = self.profiler.histogram(path)
+        setattr(self, attr, histogram)
+        return histogram
 
     def _service_fault(self, fault: UffdFault) -> Generator:
         """Resolve one fault: the monitor's only fault-service body.
@@ -325,7 +328,8 @@ class Monitor:
                     f"VM pid={registration.qemu.pid} is quarantined: "
                     f"backend {registration.store.name!r} declared dead"
                 )
-            self.counters.incr("faults")
+            counters = self.counters
+            counters["faults"] += 1
             lat = self.config.latency
             gauss = self._rng.gauss
             uffd_lat = ops.latency
@@ -339,8 +343,12 @@ class Monitor:
                 clock += sample
             elif not env.try_advance(sample):
                 yield env.timeout(sample)
-            (self._ob_dispatch or self._mk_observer(
-                "_ob_dispatch", CodePath.EVENT_DISPATCH))(sample)
+            ph = self._ph_dispatch or self._phase(
+                "_ph_dispatch", CodePath.EVENT_DISPATCH)
+            if len(ph._samples) < ph._cap:
+                ph._samples.append(sample)
+            else:
+                ph.record(sample)
             table = registration.table
 
             if addr in table._entries:
@@ -351,7 +359,7 @@ class Monitor:
                     token = (id(registration), addr)
                     if token in self._prefetched_addrs:
                         self._prefetched_addrs.discard(token)
-                        self.counters.incr("prefetch_hits")
+                        counters["prefetch_hits"] += 1
             else:
                 key = registration.codec.key_for(addr)
                 # Without the tracker (ablation) every fault goes to
@@ -371,9 +379,12 @@ class Monitor:
                         clock += sample
                     elif not env.try_advance(sample):
                         yield env.timeout(sample)
-                    (self._ob_insert_hash or self._mk_observer(
-                        "_ob_insert_hash", CodePath.INSERT_PAGE_HASH_NODE,
-                    ))(sample)
+                    ph = self._ph_insert_hash or self._phase(
+                        "_ph_insert_hash", CodePath.INSERT_PAGE_HASH_NODE)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(sample)
+                    else:
+                        ph.record(sample)
                     self.tracker.mark_seen(key)
                     cost = uffd_lat.sample_zeropage(ops._rng)
                     if window:
@@ -381,8 +392,12 @@ class Monitor:
                     elif not env.try_advance(cost):
                         yield env.timeout(cost)
                     ops.finish_zeropage(table, addr)
-                    (self._ob_zeropage or self._mk_observer(
-                        "_ob_zeropage", CodePath.UFFD_ZEROPAGE))(cost)
+                    ph = self._ph_zeropage or self._phase(
+                        "_ph_zeropage", CodePath.UFFD_ZEROPAGE)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(cost)
+                    else:
+                        ph.record(cost)
                     sample = gauss(
                         lat.insert_lru_mean, lat.insert_lru_sigma
                     )
@@ -392,9 +407,12 @@ class Monitor:
                         clock += sample
                     elif not env.try_advance(sample):
                         yield env.timeout(sample)
-                    (self._ob_insert_lru or self._mk_observer(
-                        "_ob_insert_lru", CodePath.INSERT_LRU_CACHE_NODE,
-                    ))(sample)
+                    ph = self._ph_insert_lru or self._phase(
+                        "_ph_insert_lru", CodePath.INSERT_LRU_CACHE_NODE)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(sample)
+                    else:
+                        ph.record(sample)
                     self.lru.insert(addr, registration)
                     if self._check_on:
                         self.check.pages.on_zero_fill(key)
@@ -410,8 +428,12 @@ class Monitor:
                         clock += sample
                     elif not env.try_advance(sample):
                         yield env.timeout(sample)
-                    (self._ob_lookup or self._mk_observer(
-                        "_ob_lookup", CodePath.LOOKUP_PAGE_HASH))(sample)
+                    ph = self._ph_lookup or self._phase(
+                        "_ph_lookup", CodePath.LOOKUP_PAGE_HASH)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(sample)
+                    else:
+                        ph.record(sample)
 
             if window:
                 # The one commit.  Nothing above touched the heap, so
@@ -423,14 +445,19 @@ class Monitor:
             if path is not None:
                 # Spurious or zero-fill: wake the vCPU.
                 if ops.try_wake(fault):
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(uffd_lat.wake_us)
+                    # try_wake advanced the clock by wake_us, so >= 0.
+                    ph = self._ph_wake or self._phase(
+                        "_ph_wake", CodePath.WAKE)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(uffd_lat.wake_us)
+                    else:
+                        ph.record(uffd_lat.wake_us)
                 else:
                     yield from self._timed(CodePath.WAKE, ops.wake(fault))
                 if path == "spurious":
-                    self.counters.incr("spurious_faults")
+                    counters["spurious_faults"] += 1
                 else:
-                    self.counters.incr("zero_page_faults")
+                    counters["zero_page_faults"] += 1
                     # Post-wake (blue path) eviction interleaves with
                     # the guest — stays event-driven, but flat.
                     yield from self._evict_until(self.lru._capacity, False)
@@ -456,7 +483,7 @@ class Monitor:
                     # durable, then take the normal read path (two full
                     # round trips).
                     yield from self.writeback.wait_durable(key)
-                    self.counters.incr("waits_for_writeback")
+                    counters["waits_for_writeback"] += 1
                 if path is None and not config.async_read:
                     path = yield from self._read_sync_path(
                         fault, registration, key
@@ -478,17 +505,23 @@ class Monitor:
                     sample = 0.05
                 if not env.try_advance(sample):
                     yield env.timeout(sample)
-                (self._ob_update or self._mk_observer(
-                    "_ob_update", CodePath.UPDATE_PAGE_CACHE,
-                ))(sample)
+                ph = self._ph_update or self._phase(
+                    "_ph_update", CodePath.UPDATE_PAGE_CACHE)
+                if len(ph._samples) < ph._cap:
+                    ph._samples.append(sample)
+                else:
+                    ph.record(sample)
                 sample = gauss(lat.insert_lru_mean, lat.insert_lru_sigma)
                 if sample < 0.05:
                     sample = 0.05
                 if not env.try_advance(sample):
                     yield env.timeout(sample)
-                (self._ob_insert_lru or self._mk_observer(
-                    "_ob_insert_lru", CodePath.INSERT_LRU_CACHE_NODE,
-                ))(sample)
+                ph = self._ph_insert_lru or self._phase(
+                    "_ph_insert_lru", CodePath.INSERT_LRU_CACHE_NODE)
+                if len(ph._samples) < ph._cap:
+                    ph._samples.append(sample)
+                else:
+                    ph.record(sample)
                 try:
                     page = yield handle.event
                 except KeyNotFoundError as exc:
@@ -504,7 +537,7 @@ class Monitor:
                     # The asynchronous top half failed; fall back to
                     # retried synchronous reads (that first attempt
                     # counts against the policy's budget).
-                    self.counters.incr("async_read_failures")
+                    counters["async_read_failures"] += 1
                     try:
                         page = yield from self._fetch_with_retry(
                             registration, key, prior_attempts=1,
@@ -514,18 +547,26 @@ class Monitor:
                         if self._check_on:
                             self.check.pages.on_read_failed(key)
                         raise
-                (self._ob_read or self._mk_observer(
-                    "_ob_read", CodePath.READ_PAGE,
-                ))(env._now - issued_at)
+                ph = self._ph_read or self._phase(
+                    "_ph_read", CodePath.READ_PAGE)
+                if len(ph._samples) < ph._cap:
+                    ph._samples.append(env._now - issued_at)
+                else:
+                    ph.record(env._now - issued_at)
                 yield from self._install_unless_present(
                     registration, addr, key, self._as_page(page, addr)
                 )
                 if ops.try_wake(fault):
-                    (self._ob_wake or self._mk_observer(
-                        "_ob_wake", CodePath.WAKE))(uffd_lat.wake_us)
+                    # try_wake advanced the clock by wake_us, so >= 0.
+                    ph = self._ph_wake or self._phase(
+                        "_ph_wake", CodePath.WAKE)
+                    if len(ph._samples) < ph._cap:
+                        ph._samples.append(uffd_lat.wake_us)
+                    else:
+                        ph.record(uffd_lat.wake_us)
                 else:
                     yield from self._timed(CodePath.WAKE, ops.wake(fault))
-                self.counters.incr("remote_reads")
+                counters["remote_reads"] += 1
                 if self.victim_policy is not None:
                     yield from self._enforce_policy_caps(registration, True)
                 if self.prefetcher is not None:
@@ -546,7 +587,11 @@ class Monitor:
                 fault.resolved.fail(exc)
             return
         latency = env._now - start
-        self.fault_latency.record(latency)
+        recorder = self.fault_latency
+        if len(recorder._samples) < recorder._cap:
+            recorder._samples.append(latency)
+        else:
+            recorder.record(latency)
         if self._obs_on:
             hist = self._h_fault_latency
             if hist is None:
@@ -931,15 +976,19 @@ class Monitor:
         ops = self.ops
         table = registration.table
         if addr in table._entries:
-            self.counters.incr("duplicate_reads_dropped")
+            self.counters["duplicate_reads_dropped"] += 1
             installed = False
         else:
             cost = ops.latency.sample_copy(ops._rng)
             if not env.try_advance(cost):
                 yield env.timeout(cost)
             mapped = ops.finish_copy(table, addr, page, skip_if_present=True)
-            (self._ob_copy or self._mk_observer(
-                "_ob_copy", CodePath.UFFD_COPY))(cost)
+            ph = self._ph_copy or self._phase(
+                "_ph_copy", CodePath.UFFD_COPY)
+            if len(ph._samples) < ph._cap:
+                ph._samples.append(cost)
+            else:
+                ph.record(cost)
             if addr not in self.lru._entries:
                 self.lru.insert(addr, registration)
             installed = mapped is page
@@ -1254,19 +1303,14 @@ class Monitor:
         entries = lru._entries
         if victims is None and len(entries) <= target:
             return
+        # Most calls evict one page: hoist only what every pass reads.
         env = self.env
         ops = self.ops
+        uffd_latency = ops.latency
         victim_policy = self.victim_policy
         async_wb = self.config.async_writeback
-        check_on = self._check_on
-        obs_on = self._obs_on
-        sample_remap = ops.latency.sample_remap
-        uffd_rng = ops._rng
-        try_advance = env.try_advance
-        finish_remap_out = ops.finish_remap_out
-        incr = self.counters.incr
+        counters = self.counters
         buffer_table = self.buffer_table
-        enqueue = self.writeback.enqueue
         while True:
             if victims is not None:
                 candidate = next(victims, None)
@@ -1286,22 +1330,26 @@ class Monitor:
                 token = (id(registration), vaddr)
                 if token in self._prefetched_addrs:
                     self._prefetched_addrs.discard(token)
-                    incr("prefetches_wasted")
+                    counters["prefetches_wasted"] += 1
             buffer_vaddr = self._take_buffer_slot()
-            cost = sample_remap(uffd_rng, interleaved)
-            if not try_advance(cost):
+            cost = uffd_latency.sample_remap(ops._rng, interleaved)
+            if not env.try_advance(cost):
                 yield env.timeout(cost)
-            page = finish_remap_out(
+            page = ops.finish_remap_out(
                 registration.table, vaddr, buffer_table, buffer_vaddr
             )
-            (self._ob_remap or self._mk_observer(
-                "_ob_remap", CodePath.UFFD_REMAP))(cost)
+            ph = self._ph_remap or self._phase(
+                "_ph_remap", CodePath.UFFD_REMAP)
+            if len(ph._samples) < ph._cap:
+                ph._samples.append(cost)
+            else:
+                ph.record(cost)
             key = registration.codec.key_for(vaddr)
-            incr("evictions")
+            counters["evictions"] += 1
             if async_wb:
-                if check_on:
+                if self._check_on:
                     self.check.pages.on_evicted(key, durable=False)
-                enqueue(
+                self.writeback.enqueue(
                     WritebackEntry(
                         key, page, buffer_vaddr, registration, env._now
                     )
@@ -1309,15 +1357,18 @@ class Monitor:
             else:
                 issued_at = env._now
                 yield from self._put_with_retry(registration, key, page)
-                if check_on:
+                if self._check_on:
                     self.check.pages.on_evicted(key, durable=True)
-                (self._ob_write or self._mk_observer(
-                    "_ob_write", CodePath.WRITE_PAGE,
-                ))(env._now - issued_at)
+                ph = self._ph_write or self._phase(
+                    "_ph_write", CodePath.WRITE_PAGE)
+                if len(ph._samples) < ph._cap:
+                    ph._samples.append(env._now - issued_at)
+                else:
+                    ph.record(env._now - issued_at)
                 pte = buffer_table.unmap(buffer_vaddr)
                 ops.frames.free(pte.frame)
                 self._release_buffer_slot(buffer_vaddr)
-            if obs_on:
+            if self._obs_on:
                 hist = self._h_evict_latency
                 if hist is None:
                     hist = self._h_evict_latency = (

@@ -134,7 +134,7 @@ class WritebackQueue:
         self._pending[entry.key] = entry
         if self.check.enabled:
             self.check.writeback.on_enqueued(entry.key)
-        self.counters.incr("enqueued")
+        self.counters["enqueued"] += 1
         if len(self._pending) >= self.batch_pages:
             self._wake_flusher()
 
@@ -153,12 +153,12 @@ class WritebackQueue:
             if self.check.enabled:
                 self.check.pages.on_steal_pending(key)
                 self.check.writeback.on_stolen(key)
-            self.counters.incr("steals_pending")
+            self.counters["steals_pending"] += 1
             return StealResult(StealResult.PENDING, entry)
         in_flight = self._in_flight.get(key)
         if in_flight is not None:
             entry, completion = in_flight
-            self.counters.incr("steals_in_flight")
+            self.counters["steals_in_flight"] += 1
             return StealResult(StealResult.IN_FLIGHT, entry, completion)
         return None
 
@@ -251,8 +251,9 @@ class WritebackQueue:
             self.frames.free(pte.frame)
             if self._slot_free is not None:
                 self._slot_free(entry.buffer_vaddr)
-        self.counters.incr("flushed", by=len(batch))
-        self.counters.incr("batches")
+        counters = self.counters
+        counters["flushed"] += len(batch)
+        counters["batches"] += 1
         if self.obs.enabled:
             duration = self.env.now - flush_started
             self.obs.registry.histogram(

@@ -20,13 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-__all__ = ["UffdLatency", "SwapPathLatency", "sample_positive"]
+__all__ = ["UffdLatency", "SwapPathLatency"]
 
-
-def sample_positive(rng: random.Random, mean: float, sigma: float,
-                    floor: float = 0.05) -> float:
-    """Gaussian sample truncated below at ``floor`` µs."""
-    return max(floor, rng.gauss(mean, sigma))
+#: Floor of a truncated-Gaussian ioctl cost (µs).
+FLOOR_US = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,20 +53,25 @@ class UffdLatency:
     #: Waking the halted vCPU thread (UFFDIO_WAKE + scheduler).
     wake_us: float = 1.5
     #: Kernel fault -> event readable by the monitor (fd write + epoll).
+    #: (The monitor's own read of the event and dispatch is
+    #: ``MonitorLatency.dispatch_mean``.)
     event_deliver_us: float = 2.0
-    #: Monitor-side read of the event + dispatch.
-    event_dispatch_us: float = 0.7
+
+    # Each ioctl cost is one Gaussian draw truncated below at FLOOR_US
+    # (``max(FLOOR_US, draw)``, written as a comparison).
 
     def sample_zeropage(self, rng: random.Random) -> float:
-        return sample_positive(rng, self.zeropage_mean, self.zeropage_sigma)
+        cost = rng.gauss(self.zeropage_mean, self.zeropage_sigma)
+        return cost if cost > FLOOR_US else FLOOR_US
 
     def sample_copy(self, rng: random.Random) -> float:
-        return sample_positive(rng, self.copy_mean, self.copy_sigma)
+        cost = rng.gauss(self.copy_mean, self.copy_sigma)
+        return cost if cost > FLOOR_US else FLOOR_US
 
     def sample_remap(self, rng: random.Random, interleaved: bool) -> float:
-        base = sample_positive(
-            rng, self.remap_base_mean, self.remap_base_sigma
-        )
+        base = rng.gauss(self.remap_base_mean, self.remap_base_sigma)
+        if not base > FLOOR_US:
+            base = FLOOR_US
         ipi = (
             self.remap_ipi_interleaved if interleaved else self.remap_ipi_sync
         )

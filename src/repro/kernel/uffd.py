@@ -178,7 +178,7 @@ class Userfaultfd:
                 f"no registered region for {addr:#x} (pid {pid})"
             )
         fault = UffdFault(self.env, addr, pid, is_write, region)
-        self.counters.incr("faults")
+        self.counters["faults"] += 1
         # Fast path: when the delivery delay settles as a pure clock
         # bump, enqueue synchronously — no delivery process, no put
         # event.  The caller parks on ``fault.resolved`` either way, so
@@ -227,7 +227,7 @@ class UffdOps:
         frame = self.frames.allocate()
         page = Page(vaddr=addr, kind=kind)
         table.map(addr, frame, page)
-        self.counters.incr("zeropage")
+        self.counters["zeropage"] += 1
         return page
 
     def finish_copy(
@@ -241,11 +241,11 @@ class UffdOps:
         if skip_if_present:
             existing = table.lookup(addr)
             if existing is not None:
-                self.counters.incr("copy_eexist")
+                self.counters["copy_eexist"] += 1
                 return existing.page
         frame = self.frames.allocate()
         table.map(addr, frame, page)
-        self.counters.incr("copy")
+        self.counters["copy"] += 1
         return page
 
     def finish_remap_out(
@@ -257,7 +257,7 @@ class UffdOps:
     ) -> Page:
         """Remap state mutation; the cost must already be paid."""
         pte = table.remap_to(addr, dst_table, dst_addr)
-        self.counters.incr("remap")
+        self.counters["remap"] += 1
         return pte.page
 
     def zeropage(
@@ -322,7 +322,7 @@ class UffdOps:
         if fault.resolved._value is not PENDING:
             raise UffdError(f"{fault!r} already woken")
         fault.resolved.succeed()
-        self.counters.incr("wake")
+        self.counters["wake"] += 1
         return True
 
     def wake(self, fault: UffdFault) -> Generator:
@@ -333,4 +333,4 @@ class UffdOps:
         if fault.resolved._value is not PENDING:
             raise UffdError(f"{fault!r} already woken")
         fault.resolved.succeed()
-        self.counters.incr("wake")
+        self.counters["wake"] += 1

@@ -125,7 +125,9 @@ class KeyValueBackend(abc.ABC):
 
     # The drivers report only through the handle's event; nothing can
     # wait on the driver process itself, so it runs detached and, with
-    # no scheduler installed, finishes without a heap event.
+    # no scheduler installed, finishes without a heap event.  The
+    # networked stores override ``_drive_read`` as one generator frame
+    # over ``Fabric.rpc`` (DESIGN.md §12).
 
     def read_async(self, key: int) -> ReadHandle:
         """Top half of a read: issue and return immediately."""

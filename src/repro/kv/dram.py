@@ -113,7 +113,7 @@ class DramStore(KeyValueBackend):
             self.counters.incr("misses")
             _park_failure(handle.event, KeyNotFoundError(handle.key))
             return
-        self.counters.incr("reads")
+        self.counters["reads"] += 1
         handle.event.succeed(entry.value)
 
     def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
@@ -150,7 +150,7 @@ class DramStore(KeyValueBackend):
             )
         self._table[key] = PeekableValue(value, nbytes)
         self._used = new_used
-        self.counters.incr("writes")
+        self.counters["writes"] += 1
 
     def contains(self, key: int) -> bool:
         return key in self._table

@@ -16,14 +16,15 @@ average vs 24.87 for RAMCloud).  Functionally we model what matters:
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
-from typing import Any, Dict, Generator, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..errors import KeyNotFoundError, KVError
 from ..mem import PAGE_SIZE
 from ..net import Fabric
 from ..sim import Environment
-from .api import KeyValueBackend
+from .api import KeyValueBackend, WriteItem, _park_failure
 
 __all__ = ["MemcachedServer", "MemcachedStore", "SLAB_BYTES"]
 
@@ -35,8 +36,12 @@ MIN_CHUNK = 128
 ITEM_OVERHEAD = 56
 
 
+@functools.lru_cache(maxsize=128)
 def chunk_class_for(nbytes: int) -> int:
-    """Chunk size (power of two >= nbytes + overhead) for a value."""
+    """Chunk size (power of two >= nbytes + overhead) for a value.
+
+    Cached per size: every page write asks for the same few sizes.
+    """
     needed = nbytes + ITEM_OVERHEAD
     chunk = MIN_CHUNK
     while chunk < needed:
@@ -178,8 +183,26 @@ class MemcachedStore(KeyValueBackend):
             nbytes + self.RESPONSE_OVERHEAD_BYTES,
             server_us=self.SERVER_US,
         )
-        self.counters.incr("reads")
+        self.counters["reads"] += 1
         return value
+
+    def _drive_read(self, handle) -> Generator:
+        """The bottom half of :meth:`read_async`: :meth:`get` as one
+        generator frame over :meth:`Fabric.rpc <repro.net.Fabric.rpc>`."""
+        try:
+            value, nbytes = self.server.get(handle.key)
+            yield from self.fabric.rpc(
+                self.client_host,
+                self.server_host,
+                self.REQUEST_BYTES,
+                nbytes + self.RESPONSE_OVERHEAD_BYTES,
+                server_us=self.SERVER_US,
+            )
+        except Exception as exc:
+            _park_failure(handle.event, exc)
+            return
+        self.counters["reads"] += 1
+        handle.event.succeed(value)
 
     def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
         yield from self.fabric.rpc(
@@ -190,7 +213,26 @@ class MemcachedStore(KeyValueBackend):
             server_us=self.SERVER_US,
         )
         self.server.set(key, value, nbytes)
-        self.counters.incr("writes")
+        self.counters["writes"] += 1
+
+    def multi_write(self, items: List[WriteItem]) -> Generator:
+        """Memcached has no batched write: one set round trip per page,
+        in order, as :meth:`put` makes it, in this one frame (the paper
+        notes async write-back "is most beneficial when slower network
+        transports are used such as with TCP with Memcached")."""
+        fabric = self.fabric
+        server = self.server
+        counters = self.counters
+        for key, value, nbytes in items:
+            yield from fabric.rpc(
+                self.client_host,
+                self.server_host,
+                nbytes + self.REQUEST_BYTES,
+                self.RESPONSE_OVERHEAD_BYTES,
+                server_us=self.SERVER_US,
+            )
+            server.set(key, value, nbytes)
+            counters["writes"] += 1
 
     def remove(self, key: int) -> Generator:
         self.server.get(key)
@@ -203,11 +245,6 @@ class MemcachedStore(KeyValueBackend):
         )
         self.server.delete(key)
         self.counters.incr("removes")
-
-    # multi_write: memcached has no batched write; the default sequential
-    # implementation from the ABC applies (the paper notes async writeback
-    # "is most beneficial when slower network transports are used such as
-    # with TCP with Memcached").
 
     def contains(self, key: int) -> bool:
         return key in self.server

@@ -172,26 +172,10 @@ class RamCloudStore(KeyValueBackend):
 
     # -- blocking API ---------------------------------------------------------
 
-    def get(self, key: int, _async: bool = False) -> Generator:
-        if not _async:
-            yield self.env.timeout(self.SYNC_CLIENT_US)
-        value, nbytes = yield from self._rpc_read(key)
-        self.counters.incr("reads")
-        return value
-
-    def _drive_read(self, handle) -> Generator:
-        # Asynchronous top/bottom halves skip the blocking client cost.
-        try:
-            value = yield from self.get(handle.key, _async=True)
-        except Exception as exc:
-            _park_failure(handle.event, exc)
-            return
-        handle.event.succeed(value)
-
-    def _rpc_read(self, key: int) -> Generator:
-        # Issue the request; the value size rides back in the response.
-        # Look up first so the response size is right; latency is charged
-        # by the RPC regardless.
+    def get(self, key: int) -> Generator:
+        yield self.env.timeout(self.SYNC_CLIENT_US)
+        # Look up first so the response size is right; the value size
+        # rides back in the response.
         value, nbytes = self.server.read(self.table_id, key)
         yield from self.fabric.rpc(
             self.client_host,
@@ -200,7 +184,28 @@ class RamCloudStore(KeyValueBackend):
             nbytes + 32,
             server_us=self.SERVER_READ_US,
         )
-        return value, nbytes
+        self.counters["reads"] += 1
+        return value
+
+    def _drive_read(self, handle) -> Generator:
+        """The bottom half of :meth:`read_async`: :meth:`get` without
+        the blocking client cost, which the split asynchronous halves
+        overlap with the network wait.  One generator frame over
+        :meth:`Fabric.rpc <repro.net.Fabric.rpc>`."""
+        try:
+            value, nbytes = self.server.read(self.table_id, handle.key)
+            yield from self.fabric.rpc(
+                self.client_host,
+                self.server_host,
+                self.READ_REQUEST_BYTES,
+                nbytes + 32,
+                server_us=self.SERVER_READ_US,
+            )
+        except Exception as exc:
+            _park_failure(handle.event, exc)
+            return
+        self.counters["reads"] += 1
+        handle.event.succeed(value)
 
     def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
         yield self.env.timeout(self.SYNC_CLIENT_US)
@@ -212,7 +217,7 @@ class RamCloudStore(KeyValueBackend):
             server_us=self.SERVER_WRITE_US,
         )
         self.server.write(self.table_id, key, value, nbytes)
-        self.counters.incr("writes")
+        self.counters["writes"] += 1
 
     def multi_read(self, keys: List[int]) -> Generator:
         """RAMCloud's multiRead: fetch a batch in one round trip.
@@ -261,8 +266,9 @@ class RamCloudStore(KeyValueBackend):
         )
         for key, value, nbytes in items:
             self.server.write(self.table_id, key, value, nbytes)
-        self.counters.incr("writes", by=len(items))
-        self.counters.incr("multi_writes")
+        counters = self.counters
+        counters["writes"] += len(items)
+        counters["multi_writes"] += 1
 
     def remove(self, key: int) -> Generator:
         self.server.read(self.table_id, key)  # raise before charging time

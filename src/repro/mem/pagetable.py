@@ -106,17 +106,28 @@ class PageTable:
     ) -> PageTableEntry:
         """Move a mapping into another table (the ``UFFD_REMAP`` core).
 
-        The frame and page object travel; no contents are copied.  After
-        this, ``vaddr`` faults in this table and ``other_vaddr`` is
-        present in ``other``.
+        The entry itself travels, frame and page object with it; no
+        contents are copied.  After this, ``vaddr`` faults in this table
+        and ``other_vaddr`` is present in ``other``.  Raises what
+        ``unmap(vaddr)`` and then ``other.map(other_vaddr, ...)`` would
+        raise, in that order, before changing either table.
         """
-        pte = self.unmap(vaddr)
-        try:
-            other.map(other_vaddr, pte.frame, pte.page)
-        except PageTableError:
-            # Roll back so a failed remap leaves state unchanged.
-            self._entries[vaddr] = pte
-            raise
+        if vaddr & _OFFSET_MASK or vaddr >> 64:
+            self._check_aligned(vaddr)
+        entries = self._entries
+        pte = entries.get(vaddr)
+        if pte is None:
+            raise PageTableError(f"{self.name}: {vaddr:#x} is not mapped")
+        if other_vaddr & _OFFSET_MASK or other_vaddr >> 64:
+            other._check_aligned(other_vaddr)
+        if other_vaddr in other._entries and (
+            other is not self or other_vaddr != vaddr
+        ):
+            raise PageTableError(
+                f"{other.name}: {other_vaddr:#x} is already mapped"
+            )
+        del entries[vaddr]
+        other._entries[other_vaddr] = pte
         return pte
 
     def items(self) -> Iterator[Tuple[int, PageTableEntry]]:

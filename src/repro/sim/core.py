@@ -223,11 +223,20 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self.callbacks.append(process._resume_cb)
-        self._ok = True
+        # Inlined Event.__init__ and no-scheduler _schedule: one of
+        # these starts every process.
+        self.env = env
+        self.callbacks = [process._resume_cb]
         self._value = None
-        env._schedule(self, priority=PRIORITY_URGENT)
+        self._ok = True
+        self._defused = False
+        if env.scheduler is None:
+            _heappush(
+                env._heap,
+                (env._now, PRIORITY_URGENT, next(env._seq), self),
+            )
+        else:
+            env._schedule(self, priority=PRIORITY_URGENT)
 
 
 class Interruption(Event):
@@ -276,7 +285,12 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Inlined Event.__init__ (process creation is hot).
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         #: Cached bound method: parking on an event happens once per
         #: yield, and rebuilding the bound method each time is garbage.

@@ -118,7 +118,13 @@ class StoreGet(Event):
     __slots__ = ("predicate",)
 
     def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]]) -> None:
-        super().__init__(store.env)
+        # Inlined Event.__init__: the monitor parks on one of these for
+        # every fault that finds the queue empty.
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.predicate = predicate
         store._getters.append(self)
         # With no item and no blocked put nothing can be served, so the

@@ -118,12 +118,16 @@ class AccessDriver:
             self._hits_since_flush += 1
             self._run_hits += 1
         self.hits += 1
-        if self.latency is not None:
+        recorder = self.latency
+        if recorder is not None:
             # Sample a plausible in-DRAM access time (same draw, same
             # order as the generator path — the RNG stream is pinned).
-            self.latency.record(
-                max(0.02, self._rng.gauss(self.hit_cost_us * 8, 0.4))
-            )
+            # Clamped, so appended in place under the cap (DESIGN.md §12).
+            sample = max(0.02, self._rng.gauss(self.hit_cost_us * 8, 0.4))
+            if len(recorder._samples) < recorder._cap:
+                recorder._samples.append(sample)
+            else:
+                recorder.record(sample)
         return True
 
     def access(
@@ -148,11 +152,16 @@ class AccessDriver:
             self._pending_us += self.hit_cost_us
             self._hits_since_flush += 1
             self._run_hits += 1
-            if self.latency is not None:
+            recorder = self.latency
+            if recorder is not None:
                 # Sample a plausible in-DRAM access time.
-                self.latency.record(
-                    max(0.02, self._rng.gauss(self.hit_cost_us * 8, 0.4))
+                sample = max(
+                    0.02, self._rng.gauss(self.hit_cost_us * 8, 0.4)
                 )
+                if len(recorder._samples) < recorder._cap:
+                    recorder._samples.append(sample)
+                else:
+                    recorder.record(sample)
             if self._hits_since_flush >= self.flush_every:
                 yield from self.flush()
             return
@@ -164,8 +173,14 @@ class AccessDriver:
         started = self.env._now
         yield from fault(vaddr, is_write, kind)
         self.faults += 1
-        if self.latency is not None:
-            self.latency.record(self.env._now - started)
+        recorder = self.latency
+        if recorder is not None:
+            # A clock difference: appended in place under the cap.
+            latency = self.env._now - started
+            if len(recorder._samples) < recorder._cap:
+                recorder._samples.append(latency)
+            else:
+                recorder.record(latency)
 
     def flush(self) -> Generator:
         """Charge any accumulated hit time to the clock.

@@ -118,22 +118,21 @@ class Pmbench:
         self.config = config or PmbenchConfig()
         self._rng = rng or random.Random(1234)
 
-    def _addr(self, page_index: int) -> int:
-        return self.base_addr + page_index * PAGE_SIZE
-
     def run(self) -> Generator:
         """Execute warm-up + measurement; returns a PmbenchResult."""
         config = self.config
         read_latency = LatencyRecorder("pmbench.read", max_samples=500_000)
         write_latency = LatencyRecorder("pmbench.write", max_samples=500_000)
+        base_addr = self.base_addr
+        wss_pages = config.wss_pages
 
         warmup_started = self.env.now
         if config.warmup:
             warm_driver = AccessDriver(self.env, self.port, rng=self._rng)
-            addr = self._addr
             try_hit = warm_driver.try_hit
-            for page in range(config.wss_pages):
-                vaddr = addr(page)
+            for vaddr in range(
+                base_addr, base_addr + wss_pages * PAGE_SIZE, PAGE_SIZE
+            ):
                 if not try_hit(vaddr, is_write=True):
                     yield from warm_driver.access(vaddr, is_write=True)
             yield from warm_driver.flush()
@@ -144,16 +143,20 @@ class Pmbench:
         # access splits the read and write distributions.
         driver = AccessDriver(self.env, self.port, rng=self._rng)
         measured_started = self.env.now
-        addr = self._addr
         rng = self._rng
-        randrange, rand = rng.randrange, rng.random
+        # ``randrange(wss_pages)`` draw for draw, as ``random.Random``
+        # makes it: getrandbits(k) until the value is below the range.
+        getrandbits, rand = rng.getrandbits, rng.random
+        bits = wss_pages.bit_length()
         try_hit = driver.try_hit
-        wss_pages, read_ratio = config.wss_pages, config.read_ratio
+        read_ratio = config.read_ratio
         for _ in range(config.measured_accesses):
-            page = randrange(wss_pages)
+            page = getrandbits(bits)
+            while page >= wss_pages:
+                page = getrandbits(bits)
             is_read = rand() < read_ratio
             driver.latency = read_latency if is_read else write_latency
-            vaddr = addr(page)
+            vaddr = base_addr + page * PAGE_SIZE
             if not try_hit(vaddr, is_write=not is_read):
                 yield from driver.access(vaddr, is_write=not is_read)
         yield from driver.flush()
