@@ -1,11 +1,17 @@
-"""Tests for transport latency models."""
-
-import random
+"""Tests for transport latency models, sampled through a fabric."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net import ETHERNET_10G, IPOIB, RDMA_FDR, TRANSPORTS, TransportSpec
+from repro.net import (
+    ETHERNET_10G,
+    IPOIB,
+    RDMA_FDR,
+    TRANSPORTS,
+    Fabric,
+    TransportSpec,
+)
+from repro.sim import Environment, RandomStreams
 
 
 def det(spec):
@@ -16,6 +22,15 @@ def det(spec):
         per_message_us=spec.per_message_us,
         bandwidth_gbps=spec.bandwidth_gbps,
     )
+
+
+def link(spec, seed=0):
+    """A fabric of two hosts, ``a`` and ``b``, joined by ``spec``."""
+    fabric = Fabric(Environment(), RandomStreams(seed))
+    fabric.add_host("a")
+    fabric.add_host("b")
+    fabric.connect("a", "b", spec)
+    return fabric
 
 
 def test_serialization_scales_with_bytes():
@@ -38,9 +53,9 @@ def test_negative_bytes_rejected():
 
 def test_rdma_4k_rtt_near_paper_10us():
     """Paper section V-B: a RAMCloud page read waits ~10us on the network."""
-    rng = random.Random(1)
+    fabric = link(RDMA_FDR, seed=1)
     samples = [
-        RDMA_FDR.round_trip_us(64, 4096, rng, server_us=2.0)
+        fabric.sample_rtt("a", "b", 64, 4096, server_us=2.0)
         for _ in range(2000)
     ]
     avg = sum(samples) / len(samples)
@@ -48,9 +63,10 @@ def test_rdma_4k_rtt_near_paper_10us():
 
 
 def test_ipoib_much_slower_than_rdma():
-    rng = random.Random(2)
-    rdma = sum(RDMA_FDR.round_trip_us(64, 4096, rng) for _ in range(500))
-    ipoib = sum(IPOIB.round_trip_us(64, 4096, rng) for _ in range(500))
+    rdma_link = link(RDMA_FDR, seed=2)
+    ipoib_link = link(IPOIB, seed=2)
+    rdma = sum(rdma_link.sample_rtt("a", "b", 64, 4096) for _ in range(500))
+    ipoib = sum(ipoib_link.sample_rtt("a", "b", 64, 4096) for _ in range(500))
     assert ipoib > 3 * rdma
 
 
@@ -64,15 +80,15 @@ def test_transport_registry():
 
 
 def test_jitter_reproducible_with_seeded_rng():
-    a = RDMA_FDR.one_way_us(4096, random.Random(42))
-    b = RDMA_FDR.one_way_us(4096, random.Random(42))
+    a = link(RDMA_FDR, seed=42).sample_one_way("a", "b", 4096)
+    b = link(RDMA_FDR, seed=42).sample_one_way("a", "b", 4096)
     assert a == b
 
 
 def test_jitter_creates_tail():
-    rng = random.Random(3)
+    fabric = link(RDMA_FDR, seed=3)
     samples = sorted(
-        RDMA_FDR.one_way_us(4096, rng) for _ in range(5000)
+        fabric.sample_one_way("a", "b", 4096) for _ in range(5000)
     )
     median = samples[len(samples) // 2]
     p999 = samples[int(len(samples) * 0.999)]
@@ -82,16 +98,21 @@ def test_jitter_creates_tail():
 
 @given(st.integers(0, 1 << 20))
 def test_one_way_at_least_fixed_cost(nbytes):
-    rng = random.Random(0)
     spec = RDMA_FDR
-    lat = spec.one_way_us(nbytes, rng)
+    lat = link(spec).sample_one_way("a", "b", nbytes)
     assert lat >= spec.propagation_us + spec.per_message_us
 
 
 @given(st.integers(0, 1 << 16), st.integers(0, 1 << 16))
 def test_rtt_is_sum_of_parts(req, resp):
-    spec = det(IPOIB)
-    rng = random.Random(0)
-    rtt = spec.round_trip_us(req, resp, rng, server_us=5.0)
-    expected = spec.one_way_us(req, rng) + 5.0 + spec.one_way_us(resp, rng)
-    assert rtt == pytest.approx(expected)
+    # Same seed, same draws: the round trip is the request leg, then the
+    # server time, then the response leg, to the last bit.
+    for spec in (det(IPOIB), IPOIB):
+        rtt = link(spec).sample_rtt("a", "b", req, resp, server_us=5.0)
+        legs = link(spec)
+        expected = (
+            legs.sample_one_way("a", "b", req)
+            + 5.0
+            + legs.sample_one_way("b", "a", resp)
+        )
+        assert rtt == expected

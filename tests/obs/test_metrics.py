@@ -120,6 +120,13 @@ def test_disabled_registry_hands_out_shared_noops():
     hist = registry.histogram("lat")
     hist.observe(5.0)
     assert hist.count == 0
+    # Its cap is 0, so a caller appending in place under the cap
+    # (LatencyRecorder's contract) reaches the no-op record() instead.
+    if len(hist._samples) < hist._cap:
+        hist._samples.append(5.0)
+    else:
+        hist.record(5.0)
+    assert hist._samples == [] and hist.count == 0
     # Nothing was registered: the snapshot stays empty.
     assert registry.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {},
