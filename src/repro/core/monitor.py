@@ -52,6 +52,12 @@ __all__ = ["VmRegistration", "Monitor"]
 
 #: Where the monitor's user-space eviction buffer lives (its own vspace).
 BUFFER_BASE = 0x6000_0000_0000
+#: The monitor's cached profiler histograms, one per phase it charges.
+_PHASE_ATTRS = (
+    "_ph_dispatch", "_ph_lookup", "_ph_insert_hash", "_ph_insert_lru",
+    "_ph_zeropage", "_ph_copy", "_ph_wake", "_ph_read", "_ph_update",
+    "_ph_remap", "_ph_write",
+)
 
 
 class VmRegistration:
@@ -155,18 +161,10 @@ class Monitor:
         # the --metrics document, DESIGN.md §17).  A phase sample is
         # non-negative by construction, so it is appended to the
         # retained samples while they are under the cap and recorded
-        # past it (DESIGN.md §12).
-        self._ph_dispatch = None
-        self._ph_lookup = None
-        self._ph_insert_hash = None
-        self._ph_insert_lru = None
-        self._ph_zeropage = None
-        self._ph_copy = None
-        self._ph_wake = None
-        self._ph_read = None
-        self._ph_update = None
-        self._ph_remap = None
-        self._ph_write = None
+        # past it (DESIGN.md §12).  A profiler reset drops the phase
+        # histograms it handed out, so it empties this cache too.
+        self._forget_phases()
+        self.profiler.on_reset = self._forget_phases
         self._h_fault_latency = None
         self._h_evict_latency = None
         self._h_path_latency: Dict[str, object] = {}
@@ -289,6 +287,11 @@ class Monitor:
         histogram = self.profiler.histogram(path)
         setattr(self, attr, histogram)
         return histogram
+
+    def _forget_phases(self) -> None:
+        """Empty the phase-histogram cache (:meth:`_phase` refills it)."""
+        for attr in _PHASE_ATTRS:
+            setattr(self, attr, None)
 
     def _service_fault(self, fault: UffdFault) -> Generator:
         """Resolve one fault: the monitor's only fault-service body.

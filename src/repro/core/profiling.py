@@ -20,7 +20,7 @@ Table I or the snapshot reads them (DESIGN.md §12).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..obs import Histogram, MetricsRegistry
 
@@ -87,6 +87,9 @@ class Profiler:
         self._registry = registry
         self._labels = dict(labels)
         self._recorded: dict = {}
+        #: Called by :meth:`reset`: an owner that holds histograms from
+        #: :meth:`histogram` (the monitor) drops them here.
+        self.on_reset: Optional[Callable[[], None]] = None
 
     def record(self, path: CodePath, latency_us: float) -> None:
         histogram = self._recorded.get(path)
@@ -101,9 +104,9 @@ class Profiler:
         per fault: holding the histogram skips the per-call path lookup
         that :meth:`record` pays, and lets a sample that is
         non-negative by construction be appended to the retained
-        samples while they are under the cap (DESIGN.md §12).  Cached
-        histograms are invalidated by :meth:`reset` — re-fetch after a
-        reset.
+        samples while they are under the cap (DESIGN.md §12).  A reset
+        invalidates the histograms handed out: a holder re-fetches them
+        after :meth:`reset` calls its :attr:`on_reset`.
         """
         try:
             return self._recorded[path]
@@ -149,9 +152,13 @@ class Profiler:
         With a private registry the samples are dropped entirely; on a
         shared registry the histograms stay exported (a registry is a
         run-scoped record) but this profiler starts fresh mappings.
+        :attr:`on_reset` then runs, so a holder of the old histograms
+        fetches the new ones on its next sample.
         """
         self._recorded.clear()
         if self._private:
             self._registry = MetricsRegistry(
                 max_samples_per_histogram=self._max_samples
             )
+        if self.on_reset is not None:
+            self.on_reset()

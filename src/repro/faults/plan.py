@@ -20,7 +20,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import KVError
 from ..sim import CounterSet, derive_seed
@@ -91,7 +91,7 @@ class FaultWindow:
                     f"{self.kind.value} probability must be in (0, 1], "
                     f"got {self.param}"
                 )
-        if self.kind is FaultKind.SLOW and self.param <= 0:
+        if self.kind is FaultKind.SLOW and not self.param > 0:
             raise KVError(
                 f"slow window needs a positive extra latency, "
                 f"got {self.param}"
@@ -146,6 +146,22 @@ class FaultPlan:
         return sum(
             w.param for w in self._active(node, now, FaultKind.SLOW)
         )
+
+    def active_nodes(self, kind: FaultKind, now: float) -> Set[str]:
+        """Every node with a ``kind`` window covering ``now``, from one
+        walk of the windows.
+
+        For a caller that asks about many nodes at one instant (the
+        market fleet, once per tick).  A node is in the CRASH set iff
+        :meth:`is_crashed` holds, and in the SLOW set iff
+        :meth:`extra_latency_us` is positive, since a SLOW window's
+        ``param`` is positive.
+        """
+        return {
+            window.node for window in self.windows
+            if window.kind is kind
+            and window.start_us <= now < window.end_us
+        }
 
     def flaky_probability(self, node: str, now: float) -> float:
         return max(

@@ -62,6 +62,25 @@ class ActiveInactiveLists:
     def __contains__(self, page: Page) -> bool:
         return page.vaddr in self._active or page.vaddr in self._inactive
 
+    def touch(self, vaddr: int) -> bool:
+        """A load from ``vaddr``: True, with the page's referenced bit
+        set, if the page is on either list; False, changing nothing,
+        if it is on neither.
+
+        The market fleet's one hit body (:mod:`repro.market.fleet`):
+        no :meth:`Page.read` frame, and the inactive list, which holds
+        most of the fleet's hits, is probed first.
+        """
+        inactive = self._inactive
+        if vaddr in inactive:
+            inactive[vaddr].referenced = True
+            return True
+        active = self._active
+        if vaddr in active:
+            active[vaddr].referenced = True
+            return True
+        return False
+
     @property
     def active_count(self) -> int:
         return len(self._active)
@@ -107,6 +126,31 @@ class ActiveInactiveLists:
             victims.append(page)
         return victims
 
+    def shrink_to(self, target: int) -> List[Page]:
+        """Reclaim until at most ``target`` pages are on the lists.
+
+        Runs :meth:`select_victims` (the 4x scan) for the whole excess;
+        if a scan frees nothing because every page it reached got a
+        second chance, it scans again at 64x to age harder.  If that
+        frees nothing too, it stops with the lists still over
+        ``target``: the 64x scan can promote the whole inactive list
+        without a refill, and the next call finds those pages' bits
+        clear.  Returns the victims in reclaim order; they are off the
+        lists.  The market fleet's one eviction body, per miss and per
+        harvest.
+        """
+        victims: List[Page] = []
+        excess = len(self._active) + len(self._inactive) - target
+        while excess > 0:
+            batch = self.select_victims(excess)
+            if not batch:
+                batch = self.select_victims(excess, scan_limit_factor=64)
+                if not batch:
+                    break
+            victims += batch
+            excess -= len(batch)
+        return victims
+
     def _refill_inactive(self) -> None:
         inactive, active = self._inactive, self._active
         while active and len(inactive) < len(active):
@@ -122,7 +166,11 @@ class ActiveInactiveLists:
         Non-destructive (unlike :meth:`select_victims`' aging scan):
         the bits stay so reclaim still sees them.
         """
-        return sum(1 for page in self._inactive.values() if page.referenced)
+        count = 0
+        for page in self._inactive.values():
+            if page.referenced:
+                count += 1
+        return count
 
     def wss_estimate(self) -> int:
         """Working-set-size estimate from the page-access stats.

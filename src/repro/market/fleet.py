@@ -20,10 +20,16 @@ market sees:
   (hot head, long tail), so working sets emerge from the workload
   rather than being declared.
 * **Faults are charged, not simulated page-by-page.**  A miss costs a
-  modeled latency (first touch < remote lease < swap) recorded into
-  the per-tenant QoS window; simulated time advances once per fleet
-  tick.  Two same-seed runs replay identical access streams in
-  identical order, fast paths on or off.
+  modeled latency (first touch < remote lease < swap); a VM hands its
+  tick's latencies to the per-tenant QoS window in one
+  :meth:`~repro.market.QosManager.record_faults` call, in fault order,
+  and simulated time advances once per fleet tick.  A tick draws its
+  page numbers in one :meth:`~repro.workloads.ycsb.ZipfianGenerator.draw`
+  before walking them, a hit is one
+  :meth:`~repro.kernel.ActiveInactiveLists.touch` and an eviction one
+  :meth:`~repro.kernel.ActiveInactiveLists.shrink_to` (DESIGN.md §13,
+  "The tick in one frame").  Two same-seed runs replay identical
+  access streams in identical order, fast paths on or off.
 
 Chaos rides in on a standard :class:`~repro.faults.FaultPlan` under a
 fleet convention: a **CRASH** window on node ``<vm-name>`` is a
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from ..errors import MarketError
-from ..faults import FaultPlan
+from ..faults import FaultKind, FaultPlan
 from ..kernel import ActiveInactiveLists
 from ..mem import PAGE_SIZE, Page
 from ..obs import NULL_OBS, Observability
@@ -167,15 +173,17 @@ class MarketVM:
         return self.stats.faults
 
     def harvest(self, pages: int) -> Generator:
-        """Shrink the local budget; evicted pages fall to swap."""
+        """Shrink the local budget; evicted pages spill to leased remote
+        memory while the budget lasts, then fall to swap."""
         taken = min(pages, self.capacity - _MIN_CAPACITY_PAGES)
         if taken <= 0:
             yield self.env.timeout(1.0)
             return 0
         self.capacity -= taken
-        evicted = self._evict_to_capacity()
+        victims = self.lists.shrink_to(self.capacity)
+        self._spill(victims)
         self.harvested_pages += taken
-        yield self.env.timeout(1.0 + _EVICT_US_PER_PAGE * evicted)
+        yield self.env.timeout(1.0 + _EVICT_US_PER_PAGE * len(victims))
         return taken
 
     def give_back(self, pages: int) -> int:
@@ -204,61 +212,82 @@ class MarketVM:
     # -- the access loop --------------------------------------------------------------
 
     def run_tick(self, qos: QosManager, throttle_us: float) -> None:
-        """One tick of Zipfian accesses; faults feed the QoS window."""
-        lists = self.lists
-        pages = self.pages
-        footprint = self.spec.footprint_pages
-        accesses = self.spec.accesses_per_tick * (2 if self.surging else 1)
-        for _ in range(accesses):
-            page_no = (
-                self.rng.randrange(footprint) if self.surging
-                else self.zipf.next() % footprint
-            )
-            vaddr = page_no * PAGE_SIZE
-            page = pages.get(vaddr)
-            if page is not None and page in lists:
-                page.read()
-                self.stats.hits += 1
-                continue
-            self.stats.faults += 1
-            if vaddr in self.remote:
-                del self.remote[vaddr]
-                latency = REMOTE_FAULT_US + throttle_us
-                self.stats.remote_hits += 1
-            elif page is None:
-                page = Page(vaddr)
-                pages[vaddr] = page
-                latency = FIRST_TOUCH_US
-                self.stats.first_touches += 1
-            else:
-                latency = SWAP_FAULT_US + throttle_us
-                self.stats.swap_faults += 1
-            if len(lists) >= self.capacity:
-                self._evict_to_capacity(headroom=1)
-            lists.insert(page)
-            page.read()
-            qos.record_fault(self.spec.name, latency)
+        """One tick of Zipfian accesses; faults feed the QoS window.
 
-    def _evict_to_capacity(self, headroom: int = 0) -> int:
-        """Evict via the kernel's second-chance scan until the resident
-        set fits ``capacity - headroom``; victims spill to leased
-        remote memory while the budget lasts, then to swap."""
-        target = max(0, self.capacity - headroom)
-        evicted = 0
-        while len(self.lists) > target:
-            victims = self.lists.select_victims(len(self.lists) - target)
-            if not victims:
-                # Every page got a second chance this scan; age harder.
-                victims = self.lists.select_victims(
-                    len(self.lists) - target, scan_limit_factor=64
-                )
-                if not victims:  # pragma: no cover - defensive
-                    break
-            for victim in victims:
-                if len(self.remote) < self.remote_budget:
-                    self.remote[victim.vaddr] = True
-                evicted += 1
-        return evicted
+        The tick's page numbers are drawn before they are walked, in
+        one :meth:`~repro.workloads.ycsb.ZipfianGenerator.draw` (or,
+        while surging, one list of ``randrange`` draws): the same
+        numbers in the same order as a draw per access, because
+        nothing else draws from this VM's private ``rng`` during the
+        tick.  A hit is one
+        :meth:`~repro.kernel.ActiveInactiveLists.touch`.  A miss reads
+        ``pages`` (the lists' page for an address is always
+        ``pages[vaddr]``), makes room with
+        :meth:`~repro.kernel.ActiveInactiveLists.shrink_to` when the
+        resident set is at capacity, and enters the inactive list
+        referenced.  The counts and the fault latencies reach
+        ``stats`` and the QoS window once, at the end of the tick;
+        nothing reads either while the fleet's VMs tick.
+        """
+        spec = self.spec
+        footprint = spec.footprint_pages
+        if self.surging:
+            randrange = self.rng.randrange
+            draws = [
+                randrange(footprint)
+                for _ in range(2 * spec.accesses_per_tick)
+            ]
+        else:
+            draws = self.zipf.draw(spec.accesses_per_tick)
+        lists = self.lists
+        touch, shrink_to, insert = lists.touch, lists.shrink_to, lists.insert
+        pages, remote, spill = self.pages, self.remote, self._spill
+        capacity = self.capacity
+        resident = len(lists)
+        remote_us = REMOTE_FAULT_US + throttle_us
+        swap_us = SWAP_FAULT_US + throttle_us
+        latencies: List[float] = []
+        record = latencies.append
+        hits = first_touches = remote_hits = swap_faults = 0
+        for number in draws:
+            vaddr = number % footprint * PAGE_SIZE
+            if touch(vaddr):
+                hits += 1
+                continue
+            if remote.pop(vaddr, False):
+                page = pages[vaddr]
+                record(remote_us)
+                remote_hits += 1
+            else:
+                page = pages.get(vaddr)
+                if page is None:
+                    page = pages[vaddr] = Page(vaddr)
+                    record(FIRST_TOUCH_US)
+                    first_touches += 1
+                else:
+                    record(swap_us)
+                    swap_faults += 1
+            if resident >= capacity:
+                spill(shrink_to(capacity - 1))
+                resident = len(lists)
+            insert(page)
+            page.referenced = True
+            resident += 1
+        stats = self.stats
+        stats.hits += hits
+        stats.faults += len(latencies)
+        stats.first_touches += first_touches
+        stats.remote_hits += remote_hits
+        stats.swap_faults += swap_faults
+        qos.record_faults(spec.name, latencies)
+
+    def _spill(self, victims: List[Page]) -> None:
+        """Evicted pages go to leased remote memory, in reclaim order,
+        while the remote budget lasts; the rest fall to swap."""
+        remote, budget = self.remote, self.remote_budget
+        for victim in victims:
+            if len(remote) < budget:
+                remote[victim.vaddr] = True
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -350,8 +379,10 @@ class MarketFleet:
         if plan is None:
             return
         now = self.env.now
+        crashed_nodes = plan.active_nodes(FaultKind.CRASH, now)
+        surge_nodes = plan.active_nodes(FaultKind.SLOW, now)
         for vm in self.vms:
-            crashed = plan.is_crashed(vm.name, now)
+            crashed = vm.name in crashed_nodes
             if crashed and not vm.dead:
                 vm.crash()
                 self.broker.vm_died(vm.name)
@@ -362,7 +393,7 @@ class MarketFleet:
             elif not crashed and vm.dead:
                 vm.reboot()
                 self.counters.incr("vm_reboots")
-            vm.surging = plan.extra_latency_us(f"surge:{vm.name}", now) > 0
+            vm.surging = f"surge:{vm.name}" in surge_nodes
 
     # -- market round -----------------------------------------------------------------
 

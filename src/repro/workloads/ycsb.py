@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, List, Optional
 
 from ..errors import WorkloadError
 from ..sim import Environment, LatencyRecorder, TimeSeries
@@ -78,22 +78,37 @@ class ZipfianGenerator:
         self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
             1 - self._zeta2 / self._zetan
         )
+        #: Below this, ``u * zetan`` draws item 1 (below 1.0, item 0).
+        self._second_cut = 1.0 + 0.5 ** theta
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:
-        u = self._rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(
-            self.item_count
-            * (self._eta * u - self._eta + 1.0) ** self._alpha
-        )
+        return self.draw(1)[0]
+
+    def draw(self, count: int) -> List[int]:
+        """The next ``count`` items, in draw order: one ``rng.random()``
+        each, exactly as ``count`` calls of :meth:`next` would draw
+        them.  The one body of the formula, so a caller that needs a
+        batch of items pays one frame, not one per item.
+        """
+        random_ = self._rng.random
+        zetan, second_cut = self._zetan, self._second_cut
+        eta, alpha, item_count = self._eta, self._alpha, self.item_count
+        items: List[int] = []
+        append = items.append
+        for _ in range(count):
+            u = random_()
+            uz = u * zetan
+            if uz < 1.0:
+                append(0)
+            elif uz < second_cut:
+                append(1)
+            else:
+                append(int(item_count * (eta * u - eta + 1.0) ** alpha))
+        return items
 
 
 class ScrambledZipfianGenerator:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.bench.platform import build_platform
 from repro.core import CodePath, FluidMemConfig, Profiler, UserfaultApp
 from repro.core.config import MonitorLatency
 from repro.errors import FluidMemError
 from repro.kv import DramStore
+from repro.workloads import Pmbench, PmbenchConfig
 
 from tests.conftest import build_stack
 
@@ -47,6 +49,43 @@ def test_profiler_reset():
     profiler.record(CodePath.READ_PAGE, 5.0)
     profiler.reset()
     assert not profiler.has_samples(CodePath.READ_PAGE)
+
+
+def test_monitor_profiler_keeps_table1_samples_after_a_reset():
+    """A reset mid-run must not cut the monitor off from the profiler:
+    the faults after it land in ``table()`` again."""
+    platform = build_platform(
+        "fluidmem-dram", memory_scale=1.0 / 1024, seed=42,
+        fluidmem_config=FluidMemConfig(fault_handlers=1, prefetch_pages=0),
+        faults=None,
+    )
+    monitor = platform.monitor
+
+    def pmbench_run(name):
+        bench = Pmbench(
+            platform.env, platform.port, platform.workload_base,
+            PmbenchConfig(
+                wss_pages=platform.shape.wss_pages(4.0),
+                read_ratio=0.5, measured_accesses=200,
+            ),
+            rng=platform.streams.stream(name),
+        )
+        platform.run(bench.run())
+
+    pmbench_run("pmbench-1")
+    monitor.profiler.reset()
+    before = dict(monitor.counters)
+    pmbench_run("pmbench-2")
+    faults = monitor.counters["faults"] - before["faults"]
+    reads = monitor.counters["remote_reads"] - before["remote_reads"]
+    assert faults > 0 and reads > 0
+    profiler = monitor.profiler
+    paths = {row[0] for row in profiler.table()}
+    assert {"UFFD_REMAP", "UFFD_COPY", "READ_PAGE"} <= paths
+    # Each post-reset fault is dispatched once and each remote read
+    # timed once; nothing from before the reset is counted.
+    assert profiler.recorder(CodePath.EVENT_DISPATCH).count == faults
+    assert profiler.recorder(CodePath.READ_PAGE).count == reads
 
 
 def test_table1_paths_are_the_papers_eight():

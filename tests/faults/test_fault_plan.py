@@ -1,9 +1,11 @@
 """FaultPlan / FaultWindow: schedules, queries, determinism."""
 
 import math
+import random
 
 import pytest
 
+from repro.bench.market_fleet import market_chaos_plan, market_specs
 from repro.errors import KVError
 from repro.faults import (
     DEFAULT_NODES,
@@ -40,6 +42,7 @@ def test_window_defaults_to_permanent():
         dict(kind=FaultKind.FLAKY, node="n", start_us=0.0, param=1.5),
         dict(kind=FaultKind.CORRUPT, node="n", start_us=0.0, param=-0.1),
         dict(kind=FaultKind.SLOW, node="n", start_us=0.0, param=0.0),
+        dict(kind=FaultKind.SLOW, node="n", start_us=0.0, param=math.nan),
     ],
 )
 def test_window_validation(kwargs):
@@ -124,6 +127,41 @@ def test_plan_random_protected_nodes_never_lose_data():
                 assert window.kind in (FaultKind.SLOW, FaultKind.FLAKY)
                 if window.kind is FaultKind.FLAKY:
                     assert window.param <= 0.15
+
+
+def _plans_under_test():
+    for seed in range(25):
+        yield FaultPlan.random(
+            seed=seed, horizon_us=50_000.0,
+            nodes=("replica0", "replica1", "surge:vm-0"),
+            protected=("surge:vm-0",), max_windows=8,
+        )
+    for seed in (5, 42):
+        yield market_chaos_plan(market_specs(1), seed, 30, 10_000.0)
+
+
+def test_active_nodes_agrees_with_the_per_node_queries():
+    """A node is in the CRASH set iff ``is_crashed`` holds and in the
+    SLOW set iff ``extra_latency_us`` is positive, at random times and
+    at every window edge."""
+    rng = random.Random(7)
+    for plan in _plans_under_test():
+        nodes = {window.node for window in plan.windows} | {"absent"}
+        edges = [
+            t for window in plan.windows
+            for t in (window.start_us, window.end_us)
+            if t != math.inf
+        ]
+        horizon = max(edges)
+        times = edges + [rng.uniform(0.0, horizon) for _ in range(40)]
+        for now in times:
+            crashed = plan.active_nodes(FaultKind.CRASH, now)
+            slow = plan.active_nodes(FaultKind.SLOW, now)
+            for node in nodes:
+                assert (node in crashed) == plan.is_crashed(node, now)
+                assert (node in slow) == (
+                    plan.extra_latency_us(node, now) > 0
+                )
 
 
 def test_plan_random_validation():

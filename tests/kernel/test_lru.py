@@ -130,3 +130,103 @@ def test_lists_conserve_pages(ops):
             del live[victim.vaddr // PAGE_SIZE]
         assert len(lists) == len(live)
     assert len(live) == 0
+
+
+def lru_state(lists):
+    """Both lists' key order with each page's referenced bit."""
+    return (
+        [(vaddr, p.referenced) for vaddr, p in lists._active.items()],
+        [(vaddr, p.referenced) for vaddr, p in lists._inactive.items()],
+    )
+
+
+def test_touch_sets_the_bit_only_on_a_listed_page():
+    lists = ActiveInactiveLists()
+    inactive, active, absent = page(0), page(1), page(2)
+    lists.insert(inactive)
+    lists.insert_active(active)
+    for listed in (inactive, active):
+        assert not listed.referenced
+        assert lists.touch(listed.vaddr) is True
+        assert listed.referenced
+    before = lru_state(lists)
+    assert lists.touch(absent.vaddr) is False
+    assert not absent.referenced
+    assert lru_state(lists) == before
+
+
+def reference_evict(lists, target):
+    """The eviction loop ``MarketVM._evict_to_capacity`` ran before
+    ``shrink_to`` took it over, its spill to remote memory left out
+    (the spill touches neither list)."""
+    victims = []
+    while len(lists) > target:
+        batch = lists.select_victims(len(lists) - target)
+        if not batch:
+            # Every page got a second chance this scan; age harder.
+            batch = lists.select_victims(
+                len(lists) - target, scan_limit_factor=64
+            )
+            if not batch:
+                break
+        victims.extend(batch)
+    return victims
+
+
+def build_lists(active_bits, inactive_bits):
+    lists = ActiveInactiveLists()
+    for index, referenced in enumerate(active_bits):
+        p = page(index)
+        p.referenced = referenced
+        lists.insert_active(p)
+    for index, referenced in enumerate(inactive_bits, len(active_bits)):
+        p = page(index)
+        p.referenced = referenced
+        lists.insert(p)
+    return lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=40),
+    st.one_of(
+        st.lists(st.booleans(), max_size=80),
+        # All referenced: a 4x scan can free nothing, forcing the retry.
+        st.integers(1, 80).map(lambda n: [True] * n),
+    ),
+    st.data(),
+)
+def test_shrink_to_matches_the_fleet_eviction_loop(
+    active_bits, inactive_bits, data
+):
+    target = data.draw(
+        st.integers(0, len(active_bits) + len(inactive_bits) + 2)
+    )
+    expected = build_lists(active_bits, inactive_bits)
+    actual = build_lists(active_bits, inactive_bits)
+    reference_victims = reference_evict(expected, target)
+    victims = actual.shrink_to(target)
+    assert [p.vaddr for p in victims] == [p.vaddr for p in reference_victims]
+    assert [p.referenced for p in victims] == [
+        p.referenced for p in reference_victims
+    ]
+    assert lru_state(actual) == lru_state(expected)
+
+
+def test_shrink_to_ages_harder_when_every_scanned_page_is_referenced():
+    """Four referenced inactive pages ahead of a cold one and one page
+    of excess: the 4x scan promotes the four and frees none, so the 64x
+    scan refills the inactive list and frees the cold page."""
+    lists = build_lists([], [True] * 4 + [False])
+    cold = lists._inactive[4 * PAGE_SIZE]
+    factors = []
+    select_victims = lists.select_victims
+
+    def spy(count, scan_limit_factor=4):
+        factors.append(scan_limit_factor)
+        return select_victims(count, scan_limit_factor)
+
+    lists.select_victims = spy
+    assert lists.shrink_to(4) == [cold]
+    assert factors == [4, 64]
+    assert len(lists) == 4

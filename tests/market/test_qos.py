@@ -105,6 +105,41 @@ def test_metrics_are_tenant_keyed():
         == QosManager.BASE_THROTTLE_US
 
 
+def test_record_faults_equals_one_record_fault_per_sample():
+    batches = [
+        ("premium", [9.0, 150.0, 4.0]),
+        ("spot", []),
+        ("spot", [175.0]),
+        ("premium", [4.0, 4.0]),
+        ("unregistered", [9.0]),
+        ("standard", [150.0, 9.0]),
+    ]
+    single_obs, batch_obs = Observability(), Observability()
+    single, batched = _manager(obs=single_obs), _manager(obs=batch_obs)
+    for tenant, latencies in batches:
+        for latency in latencies:
+            single.record_fault(tenant, latency)
+        batched.record_faults(tenant, latencies)
+    assert batched._window == single._window
+    assert batch_obs.registry.snapshot() == single_obs.registry.snapshot()
+    assert [
+        (key, histogram.samples)
+        for key, histogram in batch_obs.registry._histograms.items()
+    ] == [
+        (key, histogram.samples)
+        for key, histogram in single_obs.registry._histograms.items()
+    ]
+    assert batched.evaluate() == single.evaluate()
+
+
+def test_empty_record_faults_creates_no_histogram():
+    obs = Observability()
+    qos = _manager(obs=obs)
+    qos.record_faults("spot", [])
+    assert obs.registry.snapshot()["histograms"] == {}
+    assert not obs.registry._histograms
+
+
 def test_priority_of_feeds_broker_revocation_order():
     qos = _manager()
     assert qos.priority_of("premium") == 2

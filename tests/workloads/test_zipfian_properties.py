@@ -10,6 +10,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import (
@@ -26,6 +27,20 @@ DRAWS = 20_000
 
 def _draw(generator, count=DRAWS):
     return [generator.next() for _ in range(count)]
+
+
+def per_call_formula(generator):
+    """One item, computed as ``ZipfianGenerator.next`` did per call."""
+    u = generator._rng.random()
+    uz = u * generator._zetan
+    if uz < 1.0:
+        return 0
+    if uz < 1.0 + 0.5 ** generator.theta:
+        return 1
+    return int(
+        generator.item_count
+        * (generator._eta * u - generator._eta + 1.0) ** generator._alpha
+    )
 
 
 class TestZipfianProperties:
@@ -85,6 +100,29 @@ class TestZipfianProperties:
             _draw(ZipfianGenerator(ITEMS, random.Random(42), theta=0.1))
         ).most_common(1)[0][1]
         assert top >= flat
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5_000),
+        st.floats(0.01, 0.99),
+        st.integers(0, 2**32),
+        st.lists(st.integers(0, 60), min_size=1, max_size=5),
+    )
+    def test_draw_equals_next_per_item(self, items, theta, seed, batches):
+        """``draw(n)`` is ``n`` calls of ``next()`` and of the formula
+        ``next()`` computed per call before ``draw`` became its body:
+        the same items, and the twin generators' RNGs end in the same
+        state."""
+        batched = ZipfianGenerator(items, random.Random(seed), theta)
+        single = ZipfianGenerator(items, random.Random(seed), theta)
+        formula = ZipfianGenerator(items, random.Random(seed), theta)
+        for count in batches:
+            expected = [single.next() for _ in range(count)]
+            assert batched.draw(count) == expected
+            assert [per_call_formula(formula) for _ in range(count)] \
+                == expected
+        assert batched._rng.getstate() == single._rng.getstate()
+        assert formula._rng.getstate() == single._rng.getstate()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
