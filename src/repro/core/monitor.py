@@ -1171,8 +1171,10 @@ class Monitor:
     ) -> None:
         """Credit the prefetcher: a page it installed was touched
         before eviction.  Called by ``FluidMemoryPort.try_touch``, the
-        port's one hit body, so driver hits are credited too (guarded
-        there on ``_prefetched_addrs`` being non-empty)."""
+        port's one-page hit body, which its run body ``touch_run`` calls
+        per access while this ledger is non-empty, so driver hits are
+        credited too (guarded there on ``_prefetched_addrs`` being
+        non-empty)."""
         token = (id(registration), addr)
         if token in self._prefetched_addrs:
             self._prefetched_addrs.discard(token)

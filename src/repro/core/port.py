@@ -12,7 +12,7 @@ trigger page faults — a deadlock.  Full (software) emulation survives.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from ..errors import PageTableError, VcpuDeadlockError
 from ..kernel import check_fault_address
@@ -56,7 +56,7 @@ class FluidMemoryPort(MemoryPort):
         return self.qemu.guest_to_host(vaddr) in self.qemu.page_table
 
     def try_touch(self, vaddr: int, is_write: bool = False) -> bool:
-        """The port's one hit body: translate once, probe the table once.
+        """The port's one-page hit body: translate once, probe once.
 
         A hit sets what ``Page.read``/``Page.write`` set, credits the
         prefetcher when it installed the page (``prefetch_hits``), and
@@ -81,6 +81,42 @@ class FluidMemoryPort(MemoryPort):
         if lru.reorder_on_access:
             lru.note_access(host)
         return True
+
+    def touch_run(
+        self,
+        vaddrs: Sequence[int],
+        writes: Sequence[bool],
+        start: int,
+        stop: int,
+    ) -> int:
+        """The port's run body: :meth:`try_touch` on each access, in
+        order, until one misses; returns that access's index.
+
+        A hit here only marks the page unless a prefetched page awaits
+        its first hit or the LRU-reorder ablation is on.  A run of hits
+        can turn neither on, so when both are off at its start the QEMU
+        page table marks the whole run itself.  Its window is the guest
+        RAM that QEMU maps linearly (``linear_ram_bytes`` from
+        ``ram_base``: the boot region and the hotplugged regions laid
+        out after it), where a guest address translates by one
+        addition.  An address outside it stops the run, and
+        :meth:`try_touch` translates it or raises.  Otherwise each
+        access goes through :meth:`try_touch`, stopping before any
+        address outside that window as well.
+        """
+        qemu = self.qemu
+        limit = qemu.linear_ram_bytes
+        monitor = self.monitor
+        if not (monitor._prefetched_addrs or monitor.lru.reorder_on_access):
+            return qemu.page_table.touch_run(
+                vaddrs, writes, start, stop, qemu.ram_base, limit
+            )
+        try_touch = self.try_touch
+        for index in range(start, stop):
+            vaddr = vaddrs[index]
+            if not 0 <= vaddr < limit or not try_touch(vaddr, writes[index]):
+                return index
+        return stop
 
     def touch(self, vaddr: int, is_write: bool = False) -> None:
         if not self.try_touch(vaddr, is_write):

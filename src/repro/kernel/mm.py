@@ -173,7 +173,7 @@ class GuestMemoryManager:
                     frame = yield from self._reclaim_frame()
             if prefetched:
                 self._map_prefetched(prefetched)
-            self.counters.incr("major_faults")
+            self.counters["major_faults"] += 1
         else:
             # Anonymous (or first-touch) minor fault: zero-fill.
             minor_us = latency.minor_fault_us
@@ -183,7 +183,7 @@ class GuestMemoryManager:
             if frame is None:
                 frame = yield from self._reclaim_frame()
             page = Page(vaddr=vaddr, kind=kind, mlocked=mlocked)
-            self.counters.incr("minor_faults")
+            self.counters["minor_faults"] += 1
 
         self.table.map(vaddr, frame, page)
         if self._reclaimable(page):
@@ -197,7 +197,13 @@ class GuestMemoryManager:
         if frames.free_frames / frames.total_frames < \
                 self.kswapd.low_watermark:
             self._wake_kswapd()
-        self.fault_latency.record(env._now - start)
+        # A clock difference: appended in place under the cap.
+        latency = env._now - start
+        recorder = self.fault_latency
+        if len(recorder._samples) < recorder._cap:
+            recorder._samples.append(latency)
+        else:
+            recorder.record(latency)
         return page
 
     def _lru_insert_with_workingset(self, page: Page) -> None:
@@ -209,7 +215,7 @@ class GuestMemoryManager:
             distance = self._eviction_counter - evicted_at
             if distance <= len(self.lru):
                 self.lru.insert_active(page)
-                self.counters.incr("workingset_activations")
+                self.counters["workingset_activations"] += 1
                 return
         self.lru.insert(page)
 

@@ -225,7 +225,7 @@ class SwapSubsystem:
             if not env.try_advance(hit_us):
                 yield env.timeout(hit_us)
             self._forget(vaddr, slot)
-            self.counters.incr("swap_cache_hits")
+            self.counters["swap_cache_hits"] += 1
             page, frame = cached
             return page, frame, []
 
@@ -252,7 +252,7 @@ class SwapSubsystem:
         self.slots.release(slot)
         page = Page(vaddr=vaddr)
         page.dirty = True  # swapped-in anonymous pages are dirty again
-        self.counters.incr("swapped_in")
+        self.counters["swapped_in"] += 1
         if len(run_vaddrs) > 1:
             self.counters.incr("readahead_reads", by=len(run_vaddrs) - 1)
         # The trailing run entries were read but keep their swap

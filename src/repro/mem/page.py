@@ -115,9 +115,10 @@ class Page:
         """Record a store to this page (marks dirty, bumps version).
 
         The hit bodies (``GuestMemoryManager.try_touch``,
-        ``FluidMemoryPort.try_touch``) and the guest kernel's fault body
-        (``GuestMemoryManager.access_fault``) set the same fields
-        inline, as :meth:`read` and this method with no ``data`` would.
+        ``FluidMemoryPort.try_touch``, ``PageTable.touch_run``) and the
+        guest kernel's fault body (``GuestMemoryManager.access_fault``)
+        set the same fields inline, as :meth:`read` and this method
+        with no ``data`` would.
         """
         if data is not None:
             if len(data) != PAGE_SIZE:

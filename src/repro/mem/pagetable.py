@@ -12,7 +12,7 @@ without touching page contents (paper §V-B, zero-copy semantics).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..errors import PageTableError
 from .addr import PAGE_SIZE, is_page_aligned
@@ -25,6 +25,9 @@ __all__ = ["PageTableEntry", "PageTable"]
 #: non-negative, within 64 bits) and only call the full checker — which
 #: raises the precise error — when that guard trips.
 _OFFSET_MASK = PAGE_SIZE - 1
+#: :meth:`PageTable.touch_run`'s bound when it is given none: every key
+#: is below it, since :meth:`PageTable.map` rejects any at or above it.
+_NO_LIMIT = 1 << 64
 
 
 class PageTableEntry:
@@ -93,6 +96,44 @@ class PageTable:
         path validates it.
         """
         return self._entries.get(vaddr)
+
+    def touch_run(
+        self,
+        vaddrs: Sequence[int],
+        writes: Sequence[bool],
+        start: int,
+        stop: int,
+        base: int = 0,
+        limit: Optional[int] = None,
+    ) -> int:
+        """Mark ``vaddrs[start:stop]`` as hits, in order: the run body.
+
+        Page ``base + vaddrs[i]`` gets what ``Page.read`` sets, or what
+        ``Page.write`` with no data sets where ``writes[i]`` is true.
+        The run stops at the first address that is negative, at or past
+        ``limit`` (when one is given) or absent, and returns its index,
+        or ``stop`` when every page was present: the pages before it are
+        marked, it and those after it are not.  Like :meth:`get` it does
+        no alignment check, since a misaligned address can only be
+        absent; the caller's one-page path deals with the address it
+        stopped at.
+        """
+        if limit is None:
+            limit = _NO_LIMIT
+        get = self._entries.get
+        for index in range(start, stop):
+            vaddr = vaddrs[index]
+            if not 0 <= vaddr < limit:
+                return index
+            pte = get(base + vaddr)
+            if pte is None:
+                return index
+            page = pte.page
+            page.referenced = True
+            if writes[index]:
+                page.dirty = True
+                page.version += 1
+        return stop
 
     def entry(self, vaddr: int) -> PageTableEntry:
         """Like :meth:`lookup` but raises when absent."""

@@ -728,9 +728,11 @@ class Environment:
     def advance(self, delta: float) -> None:
         """Advance the clock directly by ``delta`` µs.
 
-        Used by workload drivers on their fast path (memory *hits*) to
-        avoid creating one Timeout per access.  Only legal when no event
-        earlier than the new time exists, otherwise causality would break.
+        Only legal when no event earlier than the new time exists,
+        otherwise causality would break; it raises then.  Only tests
+        call it: workload drivers and the fault paths settle their time
+        with :meth:`try_advance`, which falls back to a timeout instead
+        of raising.
         """
         if delta < 0:
             raise SimulationError(f"cannot advance by negative delta {delta}")

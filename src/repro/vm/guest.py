@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Generator, Iterator, List, Optional, Tuple
+from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import VmError
 from ..kernel import GuestMemoryManager
@@ -65,14 +65,39 @@ class MemoryPort(abc.ABC):
     def try_touch(self, vaddr: int, is_write: bool = False) -> bool:
         """Record an access iff the page is resident (no simulated time).
 
-        The port's one hit body: a single page-table probe that marks
-        the page on a hit and changes nothing on a miss.  :meth:`touch`,
-        :meth:`try_access` (and so :meth:`access`'s hit branch), and
-        every hit an :class:`~repro.workloads.AccessDriver` retires go
-        through it.  It keeps no port-level hit count: FluidMem's
-        ``lru_hits`` counts only the hits of :meth:`try_access` and
-        :meth:`access`, never a driver's hits.  Every port provides it
-        (``SwapMemoryPort`` binds the guest kernel's own).
+        The port's one-page hit body: a single page-table probe that
+        marks the page on a hit and changes nothing on a miss.
+        :meth:`touch`, :meth:`try_access` (and so :meth:`access`'s hit
+        branch) and the hits an :class:`~repro.workloads.AccessDriver`
+        retires one at a time go through it; the hits its ``try_hits``
+        retires as a run go through :meth:`touch_run`, which marks each
+        page as this method would.  It keeps no port-level hit count:
+        FluidMem's ``lru_hits`` counts only the hits of
+        :meth:`try_access` and :meth:`access`, never a driver's hits.
+        Every port provides it (``SwapMemoryPort`` binds the guest
+        kernel's own).
+        """
+        raise NotImplementedError
+
+    def touch_run(
+        self,
+        vaddrs: Sequence[int],
+        writes: Sequence[bool],
+        start: int,
+        stop: int,
+    ) -> int:
+        """Record ``vaddrs[start:stop]`` as hits, in order, while they hit.
+
+        The port's run body: the same marks, in the same order, as
+        :meth:`try_touch` on each access (``writes[i]`` is its
+        ``is_write``) until the first one that returns False.  It
+        returns the index of the first access it did not record, or
+        ``stop``.  It may stop before an access that :meth:`try_touch`
+        would record or would reject with an error, and leaves that
+        access to the caller's one-page path; so it never raises for
+        an address.  No simulated time passes.  Every port provides it
+        (``SwapMemoryPort`` binds the guest page table's
+        :meth:`~repro.mem.PageTable.touch_run`).
         """
         raise NotImplementedError
 
@@ -158,10 +183,11 @@ class SwapMemoryPort(MemoryPort):
 
     def __init__(self, mm: GuestMemoryManager) -> None:
         self.mm = mm
-        #: The hit and miss bodies are the guest kernel's own, bound
-        #: here so that each costs one call rather than a wrapper and
-        #: the call inside.
+        #: The hit, run and miss bodies are the guest kernel's own,
+        #: bound here so that each costs one call rather than a wrapper
+        #: and the call inside.
         self.try_touch = mm.try_touch
+        self.touch_run = mm.table.touch_run
         self.fault = mm.access_fault
 
     def is_resident(self, vaddr: int) -> bool:

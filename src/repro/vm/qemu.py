@@ -64,6 +64,12 @@ class QemuProcess:
         )
         self.address_space.add(base_region)
         self._ram_regions.append(base_region)
+        #: Bytes of guest RAM, from guest address 0, whose host address
+        #: is ``ram_base`` plus the guest address: the boot region and
+        #: every later region placed right after the one before it
+        #: (which :meth:`add_ram_region` does while nothing else takes
+        #: that space).
+        self.linear_ram_bytes = base_region.length
 
     @property
     def ram_regions(self) -> List[MemoryRegion]:
@@ -114,6 +120,10 @@ class QemuProcess:
             start, length_bytes, kind=PageKind.ANONYMOUS, name=name
         )
         self.address_space.add(region)
+        linear = self.linear_ram_bytes
+        if linear == self.total_ram_pages * PAGE_SIZE and \
+                start == self.ram_base + linear:
+            self.linear_ram_bytes = linear + length_bytes
         self._ram_regions.append(region)
         return region
 

@@ -17,7 +17,7 @@ caller falls back to ``yield from driver.access(...)``, which behaves
 exactly as before — so workloads written either way produce
 byte-identical simulated results (DESIGN.md §12).
 
-Both retire a hit through the port's one hit body,
+Both retire a hit through the port's one-page hit body,
 :meth:`~repro.vm.MemoryPort.try_touch`: a single page-table probe that
 touches the page iff it is resident.  The one exception is the hit that
 makes a flush due in :meth:`AccessDriver.try_hit` (one in
@@ -26,19 +26,33 @@ its clock advance succeeded, because a False return must leave
 everything unchanged.  Driver hits are not port-level hits: FluidMem's
 ``lru_hits`` counts only the port's own ``try_access``/``access`` hits.
 
-A miss costs one probe too.  When ``try_hit`` returns False because
-its own probe missed, the ``access`` fallback that follows at once does
-not probe again: it settles the pending hit time and calls the port's
-one miss body, :meth:`~repro.vm.MemoryPort.fault`.  Only when that
-settling had to wait on a timeout -- so other processes ran and may
-have mapped the page -- does it call the port's ``access``, which
-probes again.
+A caller that knows a run of addresses before it touches the first
+(Graph500's BFS, a vertex at a time) hands them to
+:meth:`AccessDriver.try_hits`, which retires the hits that make no
+flush due through the port's run body,
+:meth:`~repro.vm.MemoryPort.touch_run`, and gives every other access to
+``try_hit``: it is ``try_hit`` per access, in fewer calls.  A run of
+hits passes no simulated time, draws nothing and yields to no one, so
+nothing can tell the two apart.  A driver with a latency recorder
+retires every access through ``try_hit``, the one body that draws hit
+samples.  Callers that learn one address at a time (pmbench, whose
+page draws share an RNG with its hit samples) keep ``try_hit``.
+
+A miss costs one probe too when it reaches ``try_hit`` directly.  When
+``try_hit`` returns False because its own probe missed, the ``access``
+fallback that follows at once does not probe again: it settles the
+pending hit time and calls the port's one miss body,
+:meth:`~repro.vm.MemoryPort.fault`.  Only when that settling had to
+wait on a timeout -- so other processes ran and may have mapped the
+page -- does it call the port's ``access``, which probes again.  A miss
+inside a ``try_hits`` run costs two probes: the run body stops at the
+absent page without saying why, and ``try_hit`` probes it again.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from ..mem import PageKind
 from ..sim import Environment, LatencyRecorder
@@ -129,6 +143,56 @@ class AccessDriver:
             else:
                 recorder.record(sample)
         return True
+
+    def try_hits(
+        self,
+        vaddrs: Sequence[int],
+        writes: Sequence[bool],
+        start: int = 0,
+    ) -> int:
+        """:meth:`try_hit` on ``vaddrs[start:]`` in order, in fewer calls.
+
+        ``writes[i]`` is access ``i``'s ``is_write``.  Returns the index
+        of the first access not retired (``len(vaddrs)`` when all were);
+        the caller falls back to ``yield from access(...)`` on it at
+        once, as after a False :meth:`try_hit`, and carries on from the
+        next index.  Hits that make no flush due go through the port's
+        run body, ``port.touch_run``, and are accounted as
+        :meth:`try_hit` accounts each, ``hit_cost_us`` added one hit at
+        a time.  Every other access goes to :meth:`try_hit`: the one a
+        run stops at (the hit that makes a flush due, a miss, or an
+        address the run body leaves to the one-page body) and, on a
+        driver with a latency recorder, every access, so the flush rule,
+        the miss, address errors and hit samples each keep their single
+        body.  A miss is probed twice, by the run body that stops at it
+        and by ``try_hit``.
+        """
+        stop = len(vaddrs)
+        touch_run = self.port.touch_run
+        index = start
+        while index < stop:
+            room = self.flush_every - 1 - self._hits_since_flush
+            if room > 0 and self.latency is None:
+                end = index + room
+                done = touch_run(vaddrs, writes, index,
+                                 end if end < stop else stop)
+                count = done - index
+                if count:
+                    cost = self.hit_cost_us
+                    pending = self._pending_us
+                    for _ in range(count):
+                        pending += cost
+                    self._pending_us = pending
+                    self._hits_since_flush += count
+                    self._run_hits += count
+                    self.hits += count
+                    index = done
+                    if index == stop:
+                        break
+            if not self.try_hit(vaddrs[index], writes[index]):
+                return index
+            index += 1
+        return stop
 
     def access(
         self,

@@ -253,7 +253,7 @@ class Graph500:
         # Hoisted hot-loop locals: the BFS inner loop touches a page
         # per array element and most of those are DRAM hits, so each
         # element's page is computed inline rather than by a call.
-        try_hit = driver.try_hit
+        try_hits = driver.try_hits
         access = driver.access
         xadj = graph.xadj
         adjacency = graph.adjacency
@@ -277,27 +277,36 @@ class Graph500:
         while frontier:
             next_frontier: List[int] = []
             for vertex in frontier:
+                # The vertex's accesses in traversal order: its xadj
+                # page, its adjacency pages, then per neighbour the
+                # visited page and, for a newly reached neighbour, the
+                # parent page as a write.  The sequence depends only on
+                # the graph and the root (nothing simulated reads
+                # ``parent``), so it is built before the first access
+                # and retired as one run of hits.
                 start = int(xadj[vertex])
                 end = int(xadj[vertex + 1])
-                page = (xadj_base + vertex * XADJ_BYTES) & page_mask
-                if not try_hit(page):
-                    yield from access(page)
-                for page in adj_pages(start, end):
-                    if not try_hit(page):
-                        yield from access(page)
+                pages = [(xadj_base + vertex * XADJ_BYTES) & page_mask]
+                pages.extend(adj_pages(start, end))
+                writes = [False] * len(pages)
                 for neighbor in adjacency[start:end].tolist():
-                    edges_traversed += 1
-                    page = (visited_base + neighbor * VISITED_BYTES) \
-                        & page_mask
-                    if not try_hit(page):
-                        yield from access(page)
+                    pages.append(
+                        (visited_base + neighbor * VISITED_BYTES) & page_mask
+                    )
+                    writes.append(False)
                     if parent[neighbor] == -1:
                         parent[neighbor] = vertex
-                        page = (parent_base + neighbor * PARENT_BYTES) \
+                        pages.append(
+                            (parent_base + neighbor * PARENT_BYTES)
                             & page_mask
-                        if not try_hit(page, is_write=True):
-                            yield from access(page, is_write=True)
+                        )
+                        writes.append(True)
                         next_frontier.append(neighbor)
+                edges_traversed += end - start
+                index = try_hits(pages, writes)
+                while index < len(pages):
+                    yield from access(pages[index], writes[index])
+                    index = try_hits(pages, writes, index + 1)
             frontier = next_frontier
         return edges_traversed, np.array(parent, dtype=np.int64)
 

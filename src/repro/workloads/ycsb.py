@@ -75,11 +75,19 @@ class ZipfianGenerator:
         self._alpha = 1.0 / (1.0 - theta)
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
-        self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
-            1 - self._zeta2 / self._zetan
-        )
         #: Below this, ``u * zetan`` draws item 1 (below 1.0, item 0).
         self._second_cut = 1.0 + 0.5 ** theta
+        if item_count == 2:
+            # eta is 0/0 here, and the formula's limit draws item 1
+            # wherever u * zetan >= 1.0.  Cutting at zetan sends every
+            # such draw there (u < 1.0, so u * zetan < zetan), even
+            # where the cut above lands one ulp below zetan.
+            self._eta = 0.0
+            self._second_cut = self._zetan
+        else:
+            self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
+                1 - self._zeta2 / self._zetan
+            )
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:

@@ -1,7 +1,7 @@
 """Tests for PageTable remap semantics and AddressSpace invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PageTableError, RegionError
 from repro.mem import (
@@ -68,6 +68,99 @@ def test_present_pages_counts_footprint():
     assert table.present_pages == 5
     table.unmap(0)
     assert table.present_pages == 4
+
+
+def reference_touch_run(table, vaddrs, writes, start, stop, base, limit):
+    """``PageTable.touch_run`` as a loop of one-page probes: ``get``,
+    then ``Page.read`` or ``Page.write``."""
+    for index in range(start, stop):
+        vaddr = vaddrs[index]
+        if vaddr < 0 or (limit is not None and vaddr >= limit):
+            return index
+        pte = table.get(base + vaddr)
+        if pte is None:
+            return index
+        if writes[index]:
+            pte.page.write()
+        else:
+            pte.page.read()
+    return stop
+
+
+def all_marks(table):
+    return sorted(
+        (vaddr, pte.page.referenced, pte.page.dirty, pte.page.version)
+        for vaddr, pte in table.items()
+    )
+
+
+#: Guest addresses for the run tests: pages around a 16-page window,
+#: misaligned ones, negative ones, and ones past any 64-bit key.
+RUN_ADDRESSES = st.one_of(
+    st.integers(-2, 18).map(lambda page: page * PAGE_SIZE),
+    st.sampled_from([-PAGE_SIZE, -2 * PAGE_SIZE]),
+    st.integers(-2 * PAGE_SIZE, 18 * PAGE_SIZE),
+    st.sampled_from([1 << 64, (1 << 64) + PAGE_SIZE, 1 << 70]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from([0, 3 * PAGE_SIZE, 0x7F00_0000_0000]),
+    mapped=st.sets(st.integers(-3, 17), max_size=21),
+    limit=st.one_of(st.none(), st.integers(0, 18 * PAGE_SIZE)),
+    accesses=st.lists(st.tuples(RUN_ADDRESSES, st.booleans()), max_size=40),
+    data=st.data(),
+)
+def test_touch_run_equals_a_get_and_mark_loop(
+    base, mapped, limit, accesses, data
+):
+    """The run body marks the pages a loop of ``get`` and
+    ``Page.read``/``Page.write`` marks, in order, and stops at the same
+    index: the first address that is negative, at or past ``limit``, or
+    absent -- including a present page below ``base``."""
+    vaddrs = [vaddr for vaddr, _write in accesses]
+    writes = [write for _vaddr, write in accesses]
+    start = data.draw(st.integers(0, len(vaddrs)), label="start")
+    stop = data.draw(st.integers(start, len(vaddrs)), label="stop")
+    run, loop = PageTable("run"), PageTable("loop")
+    for page in sorted(mapped):
+        vaddr = base + page * PAGE_SIZE
+        if vaddr >= 0:
+            make_mapped(run, vaddr)
+            make_mapped(loop, vaddr)
+    index = run.touch_run(vaddrs, writes, start, stop, base, limit)
+    assert index == reference_touch_run(
+        loop, vaddrs, writes, start, stop, base, limit
+    )
+    assert all_marks(run) == all_marks(loop)
+
+
+def test_touch_run_stops_at_its_window_even_on_present_pages():
+    """A negative address stops the run though ``base`` plus it is a
+    present page, and so does one at ``limit``."""
+    table = PageTable()
+    below, first = make_mapped(table, 0), make_mapped(table, PAGE_SIZE)
+    second = make_mapped(table, 2 * PAGE_SIZE)
+    vaddrs = [0, -PAGE_SIZE, PAGE_SIZE]
+    writes = [False, True, True]
+    assert table.touch_run(vaddrs, writes, 0, 3, base=PAGE_SIZE) == 1
+    assert table.touch_run(vaddrs, writes, 2, 3, base=PAGE_SIZE,
+                           limit=PAGE_SIZE) == 2
+    assert [(p.referenced, p.version) for p in (below, first, second)] \
+        == [(False, 0), (True, 0), (False, 0)]
+
+
+def test_touch_run_defaults_to_base_zero_and_no_limit():
+    table = PageTable()
+    pages = [make_mapped(table, vaddr) for vaddr in (0, PAGE_SIZE)]
+    vaddrs = [PAGE_SIZE, 0, PAGE_SIZE, 2 * PAGE_SIZE]
+    writes = [True, False, True, False]
+    assert table.touch_run(vaddrs, writes, 0, len(vaddrs)) == 3
+    assert [(p.referenced, p.dirty, p.version) for p in pages] == [
+        (True, False, 0), (True, True, 2),
+    ]
+    assert table.touch_run(vaddrs, writes, 1, 1) == 1
 
 
 def test_remap_moves_mapping_without_copy():

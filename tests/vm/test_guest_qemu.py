@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import VmError
 from repro.kernel import GuestMemoryManager
-from repro.mem import GIB, MIB, PAGE_SIZE, PageKind
+from repro.mem import GIB, MIB, PAGE_SIZE, MemoryRegion, PageKind
 from repro.sim import Environment
 from repro.vm import (
     BALLOON_FLOOR_PAGES,
@@ -152,6 +153,55 @@ def test_os_working_set_requires_boot(env):
         vm.os_working_set(10)
 
 
+# ---------------------------------------------------------- SwapMemoryPort
+
+def booted_swap_port():
+    """A booted 64-page swap VM: its 16 boot pages are resident."""
+    env = Environment()
+    vm, mm = make_swap_vm(env, dram_pages=64, boot_pages=16)
+    run(env, vm.boot())
+    return vm.port, mm
+
+
+def swap_marks(mm):
+    return sorted(
+        (vaddr, pte.page.referenced, pte.page.dirty, pte.page.version)
+        for vaddr, pte in mm.table.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    accesses=st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-2, 20).map(lambda page: page * PAGE_SIZE),
+                st.integers(-PAGE_SIZE, 20 * PAGE_SIZE),
+            ),
+            st.booleans(),
+        ),
+        max_size=30,
+    ),
+    data=st.data(),
+)
+def test_swap_port_touch_run_equals_try_touch_per_access(accesses, data):
+    """The swap port's run body (the guest page table's) marks what
+    ``try_touch`` per access marks and stops at its first miss,
+    misaligned and negative addresses included."""
+    vaddrs = [vaddr for vaddr, _write in accesses]
+    writes = [write for _vaddr, write in accesses]
+    start = data.draw(st.integers(0, len(vaddrs)), label="start")
+    stop = data.draw(st.integers(start, len(vaddrs)), label="stop")
+    run_port, run_mm = booted_swap_port()
+    loop_port, loop_mm = booted_swap_port()
+    assert run_port.touch_run.__self__ is run_mm.table
+    index = start
+    while index < stop and loop_port.try_touch(vaddrs[index], writes[index]):
+        index += 1
+    assert run_port.touch_run(vaddrs, writes, start, stop) == index
+    assert swap_marks(run_mm) == swap_marks(loop_mm)
+
+
 # ------------------------------------------------------------- QemuProcess
 
 def test_qemu_translation_roundtrip(env):
@@ -194,6 +244,28 @@ def test_hotplug_extends_guest_memory(env):
     # Translation now reaches into the hotplugged region.
     host = qemu.guest_to_host(1 * GIB)
     assert host == slot.host_region.start
+
+
+def test_linear_ram_covers_regions_laid_out_back_to_back(env):
+    """``linear_ram_bytes`` is the guest RAM whose host address is
+    ``ram_base`` plus the guest address: it grows with each hotplugged
+    region placed right after the last one, and stops growing at the
+    first region placed apart."""
+    vm = GuestVM(env, "x", memory_bytes=16 * MIB)
+    qemu = QemuProcess(vm)
+    hotplug = MemoryHotplug(qemu)
+    assert qemu.linear_ram_bytes == 16 * MIB
+    hotplug.add_memory(8 * MIB)
+    assert qemu.linear_ram_bytes == 24 * MIB
+    qemu.address_space.add(MemoryRegion(qemu.ram_base + 24 * MIB, PAGE_SIZE))
+    apart = hotplug.add_memory(4 * MIB)
+    assert apart.host_region.start == qemu.ram_base + 24 * MIB + PAGE_SIZE
+    hotplug.add_memory(4 * MIB)
+    assert qemu.linear_ram_bytes == 24 * MIB
+    for guest in (0, 16 * MIB, 24 * MIB - PAGE_SIZE, 24 * MIB, 30 * MIB):
+        linear = guest < qemu.linear_ram_bytes
+        assert (qemu.guest_to_host(guest) == qemu.ram_base + guest) \
+            == linear
 
 
 def test_hotplug_slot_limit(env):

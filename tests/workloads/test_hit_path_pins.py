@@ -5,7 +5,9 @@ and no Figure 4 run, so a change to the swap port, the guest kernel's
 hit path or Graph500 could move simulated results without any byte pin
 failing.  These tests run small seed-42 workloads there -- pmbench on
 the three swap backends, Graph500 on ``fluidmem-dram`` and
-``swap-dram`` -- and hash every simulated output: per-access samples,
+``swap-dram``, and Graph500 at Figure 4a's shape (the benchmark's
+``fig4a-graph500`` graph) on two backends of each port -- and hash
+every simulated output: per-access samples,
 hits and faults, the final clock, the guest kernel's, swap's and the
 device's counters and samples, BFS times and edges, the FluidMem port's
 hit-run diagnostics, and the referenced/dirty/version marks of every
@@ -36,6 +38,8 @@ SEED = 42
 MEMORY_SCALE = 1.0 / 1024
 PMBENCH_MEASURED_ACCESSES = 2_000
 GRAPH_SCALE = 10
+#: Figure 4a's graph, as the fig4a-graph500 benchmark workload runs it.
+FIG4A_SCALE = 12
 GRAPH_EDGEFACTOR = 16
 GRAPH_BFS_ROOTS = 2
 
@@ -53,26 +57,53 @@ PMBENCH_PINS = {
         "744daadd83c62ea11dfb304fe30edddf"
     ),
 }
-#: (backend, working set as a fraction of local DRAM): Figure 4a's
-#: all-in-DRAM point, and one past DRAM where both backends evict.
+#: (backend, working set as a fraction of local DRAM, graph scale):
+#: Figure 4a's all-in-DRAM point, and one past DRAM where both backends
+#: evict; then Figure 4a's shape at its all-in-DRAM point and at 3x
+#: DRAM, where most accesses miss, on a FluidMem and a swap backend
+#: each.
 GRAPH500_PINS = {
-    ("fluidmem-dram", 0.6): (
+    ("fluidmem-dram", 0.6, GRAPH_SCALE): (
         "1a2c1e3a07e3985b4a5d1964c438aad7"
         "377492b2a64adb49261564fe62f87667"
     ),
-    ("swap-dram", 0.6): (
+    ("swap-dram", 0.6, GRAPH_SCALE): (
         "1b4193c66be713395d1fe8578e504e26"
         "d674895e1782d2a7243ce1e43d4b4fa8"
     ),
-    ("fluidmem-dram", 1.5): (
+    ("fluidmem-dram", 1.5, GRAPH_SCALE): (
         "4a125f9b2145d26be225589ac094e548"
         "cd1078b6919b9074c41fc05604a6ddd4"
     ),
-    ("swap-dram", 1.5): (
+    ("swap-dram", 1.5, GRAPH_SCALE): (
         "d400e74440e25e725a8e371985ce5c27"
         "dfcdd33bf32e7cf2d34af41bdc9252af"
     ),
+    ("fluidmem-dram", 0.6, FIG4A_SCALE): (
+        "fb95adac4ec381ebf295b314c5a3b41d"
+        "d523bec13c53435957f317b70e5c7463"
+    ),
+    ("swap-dram", 0.6, FIG4A_SCALE): (
+        "3328fe2bcee49ed9cf206cec804df4a1"
+        "5831b0e18b2208c380028c745282cc74"
+    ),
+    ("fluidmem-ramcloud", 3.0, FIG4A_SCALE): (
+        "6b2313001822720a4bc46d99b7b8f0b5"
+        "36f1b4955c0d477554505fcdd6725189"
+    ),
+    ("swap-nvmeof", 3.0, FIG4A_SCALE): (
+        "fd151b2da60373b4a5c1424127eb4cab"
+        "f294488963d0164e9c25779effab14de"
+    ),
 }
+
+
+def graph500_pin_id(key) -> str:
+    """``backend-wss``, with ``-scaleN`` when the graph is not the
+    default ``GRAPH_SCALE``."""
+    backend, wss_of_dram, scale = key
+    suffix = "" if scale == GRAPH_SCALE else f"-scale{scale}"
+    return f"{backend}-{wss_of_dram}{suffix}"
 
 
 def digest(outputs) -> str:
@@ -131,8 +162,8 @@ def pmbench_outputs(backend):
     )
 
 
-def graph500_outputs(backend, wss_of_dram):
-    graph = KroneckerGraph(GRAPH_SCALE, GRAPH_EDGEFACTOR, seed=SEED)
+def graph500_outputs(backend, wss_of_dram, scale=GRAPH_SCALE):
+    graph = KroneckerGraph(scale, GRAPH_EDGEFACTOR, seed=SEED)
     platform = build_platform(
         backend, memory_scale=memory_scale_for(graph, wss_of_dram),
         seed=SEED, remote_factor=6,
@@ -140,7 +171,7 @@ def graph500_outputs(backend, wss_of_dram):
     bench = Graph500(
         platform.env, platform.port, platform.workload_base,
         Graph500Config(
-            scale=GRAPH_SCALE, edgefactor=GRAPH_EDGEFACTOR,
+            scale=scale, edgefactor=GRAPH_EDGEFACTOR,
             num_bfs_roots=GRAPH_BFS_ROOTS, seed=SEED,
         ),
         graph=graph,
@@ -170,14 +201,18 @@ def test_pmbench_on_swap_matches_pin_and_reference(backend, fifo_reference):
         assert digest(pmbench_outputs(backend)) == pinned
 
 
-@pytest.mark.parametrize("backend,wss_of_dram", sorted(GRAPH500_PINS))
+@pytest.mark.parametrize("backend,wss_of_dram,scale", [
+    pytest.param(*key, id=graph500_pin_id(key))
+    for key in sorted(GRAPH500_PINS)
+])
 def test_graph500_matches_pin_and_reference(
-    backend, wss_of_dram, fifo_reference
+    backend, wss_of_dram, scale, fifo_reference
 ):
-    pinned = digest(graph500_outputs(backend, wss_of_dram))
-    assert pinned == GRAPH500_PINS[(backend, wss_of_dram)]
+    pinned = digest(graph500_outputs(backend, wss_of_dram, scale))
+    assert pinned == GRAPH500_PINS[(backend, wss_of_dram, scale)]
     with fifo_reference():
-        assert digest(graph500_outputs(backend, wss_of_dram)) == pinned
+        assert digest(graph500_outputs(backend, wss_of_dram, scale)) \
+            == pinned
 
 
 def side_effects(platform):

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import (
@@ -23,6 +23,23 @@ from repro.workloads.ycsb import (
 SEEDS = (7, 42, 1234, 99991)
 ITEMS = 500
 DRAWS = 20_000
+
+
+#: A theta at which ``1.0 + 0.5 ** theta`` is one ulp below ``zeta(2)``
+#: (about 7 % of thetas), so only an exact two-item cut keeps a draw of
+#: ``u`` just below 1.0 out of the formula branch.
+TWO_ITEM_THETA = 0.011
+
+
+class FixedDraws:
+    """Stands in for ``random.Random``: ``random()`` returns ``draws``
+    in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
 
 
 def _draw(generator, count=DRAWS):
@@ -108,6 +125,7 @@ class TestZipfianProperties:
         st.integers(0, 2**32),
         st.lists(st.integers(0, 60), min_size=1, max_size=5),
     )
+    @example(items=2, theta=TWO_ITEM_THETA, seed=42, batches=[60, 7])
     def test_draw_equals_next_per_item(self, items, theta, seed, batches):
         """``draw(n)`` is ``n`` calls of ``next()`` and of the formula
         ``next()`` computed per call before ``draw`` became its body:
@@ -123,6 +141,30 @@ class TestZipfianProperties:
                 == expected
         assert batched._rng.getstate() == single._rng.getstate()
         assert formula._rng.getstate() == single._rng.getstate()
+
+    @pytest.mark.parametrize("theta", (TWO_ITEM_THETA, 0.5, 0.99))
+    def test_two_items_draw_zero_or_one(self, theta):
+        """With two items eta is 0/0, and the formula's limit draws item
+        1 wherever ``u * zetan`` reaches 1.0.  That holds up to the
+        largest ``u`` below 1.0, also at a theta where
+        ``1.0 + 0.5 ** theta`` sits one ulp below ``zeta(2)``."""
+        largest = 1.0 - 2.0 ** -53
+        zetan = ZipfianGenerator._zeta(2, theta)
+        draws = [0.0, 0.5, 1.0 / zetan, 0.75, largest]
+        expected = [0 if u * zetan < 1.0 else 1 for u in draws]
+        assert expected[-1] == 1
+        batched = ZipfianGenerator(2, FixedDraws(draws), theta)
+        single = ZipfianGenerator(2, FixedDraws(draws), theta)
+        assert batched.draw(len(draws)) == expected
+        assert [single.next() for _ in draws] == expected
+
+    def test_two_item_theta_puts_the_second_cut_below_zeta2(self):
+        """The theta the two-item tests use is one of the ulp cases."""
+        assert 1.0 + 0.5 ** TWO_ITEM_THETA \
+            < ZipfianGenerator._zeta(2, TWO_ITEM_THETA)
+        assert (1.0 - 2.0 ** -53) * ZipfianGenerator._zeta(
+            2, TWO_ITEM_THETA
+        ) >= 1.0 + 0.5 ** TWO_ITEM_THETA
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
