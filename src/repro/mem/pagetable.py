@@ -117,12 +117,24 @@ class PageTable:
         no alignment check, since a misaligned address can only be
         absent; the caller's one-page path deals with the address it
         stopped at.
+
+        An access that repeats the previous access's address in this
+        run is neither checked nor probed again: that access passed the
+        same check, found the same page and set ``referenced``, and
+        nothing runs inside a run that could unmap it, so only a
+        write's ``dirty`` and ``version`` remain to set.
         """
         if limit is None:
             limit = _NO_LIMIT
         get = self._entries.get
+        previous = None
         for index in range(start, stop):
             vaddr = vaddrs[index]
+            if vaddr == previous:
+                if writes[index]:
+                    page.dirty = True
+                    page.version += 1
+                continue
             if not 0 <= vaddr < limit:
                 return index
             pte = get(base + vaddr)
@@ -133,6 +145,7 @@ class PageTable:
             if writes[index]:
                 page.dirty = True
                 page.version += 1
+            previous = vaddr
         return stop
 
     def entry(self, vaddr: int) -> PageTableEntry:

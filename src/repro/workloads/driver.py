@@ -27,7 +27,7 @@ everything unchanged.  Driver hits are not port-level hits: FluidMem's
 ``lru_hits`` counts only the port's own ``try_access``/``access`` hits.
 
 A caller that knows a run of addresses before it touches the first
-(Graph500's BFS, a vertex at a time) hands them to
+(Graph500's BFS, a chunk of frontier vertices at a time) hands them to
 :meth:`AccessDriver.try_hits`, which retires the hits that make no
 flush due through the port's run body,
 :meth:`~repro.vm.MemoryPort.touch_run`, and gives every other access to

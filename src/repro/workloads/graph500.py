@@ -18,8 +18,9 @@ element lives on.  TEPS is computed in simulated time.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,11 @@ XADJ_BYTES = 8       # int64 offsets
 ADJ_BYTES = 8        # int64 neighbor ids
 PARENT_BYTES = 8     # int64 parent ids
 VISITED_BYTES = 1    # byte-per-vertex bitmap (simplified)
+
+#: Most edges in one chunk of a BFS level (a vertex with more is a chunk
+#: of its own): a chunk's arrays stay near 100 KB, where a whole level
+#: of a scale-12 graph can hold over 100k accesses.
+_CHUNK_EDGES = 4096
 
 
 def generate_kronecker_edges(
@@ -203,17 +209,6 @@ class Graph500:
     def _align(addr: int) -> int:
         return (addr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
-    # -- traced address helpers ------------------------------------------------
-
-    def _adj_pages(self, start_edge: int, end_edge: int) -> range:
-        if start_edge >= end_edge:
-            return range(0)
-        first = (self.adj_base + start_edge * ADJ_BYTES) & ~(PAGE_SIZE - 1)
-        last = (
-            self.adj_base + (end_edge - 1) * ADJ_BYTES
-        ) & ~(PAGE_SIZE - 1)
-        return range(first, last + PAGE_SIZE, PAGE_SIZE)
-
     # -- the benchmark -------------------------------------------------------------
 
     def load_graph(self) -> Generator:
@@ -248,67 +243,140 @@ class Graph500:
 
     def bfs(self, root: int, driver: AccessDriver,
             slot: int = 0) -> Generator:
-        """One traced BFS; returns (edges_traversed, parent array)."""
-        graph = self.graph
-        # Hoisted hot-loop locals: the BFS inner loop touches a page
-        # per array element and most of those are DRAM hits, so each
-        # element's page is computed inline rather than by a call.
-        try_hits = driver.try_hits
+        """One traced BFS; returns (edges_traversed, parent array).
+
+        Each level is expanded in chunks (:meth:`_expand`) and each
+        chunk's page accesses are retired as one run of hits through
+        ``driver.try_hits``, falling back to ``driver.access`` where the
+        run stops.  The trace depends only on the graph and the root
+        (nothing simulated reads ``parent`` or the frontier), so it can
+        be built before its first access, and a run of hits passes no
+        simulated time: the port sees the calls, at the instants, of a
+        loop that touches one array element at a time.
+        """
         access = driver.access
-        xadj = graph.xadj
-        adjacency = graph.adjacency
-        adj_pages = self._adj_pages
+        try_hits = driver.try_hits
         page_mask = ~(PAGE_SIZE - 1)
-        xadj_base = self.xadj_base
-        visited_base = self.visited_bases[slot]
-        parent_base = self.parent_bases[slot]
-
-        # A list while the traversal runs (element reads and writes
-        # cost less than on an array); returned as the int64 array.
-        parent = [-1] * graph.num_vertices
+        parent = np.full(self.graph.num_vertices, -1, dtype=np.int64)
         parent[root] = root
-        yield from access((parent_base + root * PARENT_BYTES) & page_mask,
-                          is_write=True)
-        yield from access((visited_base + root * VISITED_BYTES) & page_mask,
-                          is_write=True)
-
-        frontier = [root]
-        edges_traversed = 0
-        while frontier:
-            next_frontier: List[int] = []
-            for vertex in frontier:
-                # The vertex's accesses in traversal order: its xadj
-                # page, its adjacency pages, then per neighbour the
-                # visited page and, for a newly reached neighbour, the
-                # parent page as a write.  The sequence depends only on
-                # the graph and the root (nothing simulated reads
-                # ``parent``), so it is built before the first access
-                # and retired as one run of hits.
-                start = int(xadj[vertex])
-                end = int(xadj[vertex + 1])
-                pages = [(xadj_base + vertex * XADJ_BYTES) & page_mask]
-                pages.extend(adj_pages(start, end))
-                writes = [False] * len(pages)
-                for neighbor in adjacency[start:end].tolist():
-                    pages.append(
-                        (visited_base + neighbor * VISITED_BYTES) & page_mask
-                    )
-                    writes.append(False)
-                    if parent[neighbor] == -1:
-                        parent[neighbor] = vertex
-                        pages.append(
-                            (parent_base + neighbor * PARENT_BYTES)
-                            & page_mask
-                        )
-                        writes.append(True)
-                        next_frontier.append(neighbor)
-                edges_traversed += end - start
+        yield from access(
+            (self.parent_bases[slot] + root * PARENT_BYTES) & page_mask,
+            is_write=True,
+        )
+        yield from access(
+            (self.visited_bases[slot] + root * VISITED_BYTES) & page_mask,
+            is_write=True,
+        )
+        frontier = np.array([root], dtype=np.int64)
+        while frontier.size:
+            reached = []
+            for pages, writes, new in self._expand(frontier, parent, slot):
+                reached.append(new)
                 index = try_hits(pages, writes)
-                while index < len(pages):
+                stop = len(pages)
+                while index < stop:
                     yield from access(pages[index], writes[index])
                     index = try_hits(pages, writes, index + 1)
-            frontier = next_frontier
-        return edges_traversed, np.array(parent, dtype=np.int64)
+            frontier = np.concatenate(reached)
+        # Each reached vertex was expanded once, all its edges with it.
+        degrees = np.diff(self.graph.xadj)
+        return int(degrees[parent != -1].sum()), parent
+
+    def _expand(
+        self, frontier: np.ndarray, parent: np.ndarray, slot: int
+    ) -> Iterator[Tuple[List[int], List[bool], np.ndarray]]:
+        """Expand one BFS level, a chunk of frontier vertices at a time.
+
+        A chunk is a run of whole vertices holding at most
+        ``_CHUNK_EDGES`` edges, or one vertex holding more.  Yields
+        :meth:`_trace_chunk` of each chunk, in frontier order.
+        """
+        xadj = self.graph.xadj
+        starts, ends = xadj[frontier], xadj[frontier + 1]
+        bounds = np.cumsum(ends - starts).tolist()
+        lo = 0
+        while lo < len(bounds):
+            most = (bounds[lo - 1] if lo else 0) + _CHUNK_EDGES
+            hi = max(bisect_right(bounds, most, lo), lo + 1)
+            yield self._trace_chunk(frontier[lo:hi], starts[lo:hi],
+                                    ends[lo:hi], parent, slot)
+            lo = hi
+
+    def _trace_chunk(
+        self,
+        vertices: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        parent: np.ndarray,
+        slot: int,
+    ) -> Tuple[List[int], List[bool], np.ndarray]:
+        """Traverse ``vertices`` (edges ``starts[i]:ends[i]`` each).
+
+        Sets ``parent`` of the vertices they reach and returns the page
+        accesses in traversal order (per vertex its ``xadj`` page and
+        adjacency pages, then per neighbour the visited page and, for a
+        newly reached neighbour, the parent page as a write) as lists of
+        ints and bools, and the reached vertices in the order a
+        per-vertex loop appends them to the next frontier.  A neighbour
+        is newly reached at its first occurrence in the chunk if its
+        parent is still -1 at the chunk's start: that is where the loop
+        would find it unset, since only an earlier occurrence could
+        have set it.
+        """
+        page_mask = ~(PAGE_SIZE - 1)
+        # Each edge's neighbour, vertex after vertex; ``owner`` is the
+        # index of the vertex it belongs to, ``offsets`` each vertex's
+        # first edge.
+        degrees = ends - starts
+        offsets = np.cumsum(degrees) - degrees
+        edge = np.arange(int(offsets[-1] + degrees[-1]))
+        owner = np.repeat(np.arange(len(vertices)), degrees)
+        neighbors = self.graph.adjacency[edge + (starts - offsets)[owner]]
+
+        unseen = np.flatnonzero(parent[neighbors] == -1)
+        _values, once = np.unique(neighbors[unseen], return_index=True)
+        new = np.sort(unseen[once])
+        reached = neighbors[new]
+        parent[reached] = vertices[owner[new]]
+
+        # Positions: a vertex's head (its xadj page, then its adjacency
+        # pages) precedes its neighbours' accesses, and each newly
+        # reached neighbour adds its parent write after its visited
+        # read.  So edge ``e`` reads its visited page after the heads up
+        # to its own vertex's, ``e`` earlier visited reads and one
+        # parent write per newly reached neighbour before it; a vertex's
+        # xadj page comes after the heads, visited reads and parent
+        # writes of the vertices before it, and ``adj_step`` numbers
+        # each vertex's adjacency pages from 0.
+        adj_first = (self.adj_base + starts * ADJ_BYTES) & page_mask
+        adj_last = (self.adj_base + (ends - 1) * ADJ_BYTES) & page_mask
+        adj_pages = np.where(
+            degrees > 0, (adj_last - adj_first) // PAGE_SIZE + 1, 0
+        )
+        head_end = np.cumsum(adj_pages + 1)
+        visited_at = head_end[owner] + edge + np.searchsorted(new, edge)
+        xadj_at = (head_end - adj_pages - 1 + offsets
+                   + np.searchsorted(new, offsets))
+        heads = int(head_end[-1])
+        adj_step = np.arange(heads - len(vertices)) - np.repeat(
+            np.cumsum(adj_pages) - adj_pages, adj_pages
+        )
+        parent_at = visited_at[new] + 1
+
+        pages = np.empty(heads + len(edge) + len(new), dtype=np.int64)
+        pages[xadj_at] = (self.xadj_base + vertices * XADJ_BYTES) & page_mask
+        pages[np.repeat(xadj_at + 1, adj_pages) + adj_step] = (
+            np.repeat(adj_first, adj_pages) + adj_step * PAGE_SIZE
+        )
+        pages[visited_at] = (
+            self.visited_bases[slot] + neighbors * VISITED_BYTES
+        ) & page_mask
+        pages[parent_at] = (
+            self.parent_bases[slot] + reached * PARENT_BYTES
+        ) & page_mask
+        writes = np.zeros(len(pages), dtype=bool)
+        writes[parent_at] = True
+        return pages.tolist(), writes.tolist(), reached
 
     def run(self) -> Generator:
         """Load the graph, run the BFS trials, return a Graph500Result."""

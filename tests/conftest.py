@@ -4,12 +4,15 @@ Every suite that needs a wired-up stack (env + uffd + ops + monitor +
 fabric) gets it from here — either by importing :func:`build_stack`
 directly (for module-level helpers that customize the config) or via
 the ``stack`` / ``stack_factory`` fixtures.  The ``fifo_reference``
-fixture gives the determinism pins their reference run.
+fixture gives the determinism pins their reference run, and
+:func:`repeat_runs` gives the run-body tests their repeat-heavy access
+lists.
 """
 
 import contextlib
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.check.explorer import FifoSchedule
 from repro.core import FluidMemConfig, FluidMemoryPort, Monitor
@@ -129,3 +132,19 @@ def fifo_reference(monkeypatch):
             yield
 
     return installed
+
+
+def repeat_runs(addresses):
+    """Access lists made of runs of one address each: one to eight runs,
+    each an address drawn from ``addresses`` two to six times in a row,
+    each access with its own write flag, as ``(vaddr, is_write)``
+    pairs."""
+    runs = st.lists(
+        st.tuples(addresses, st.lists(st.booleans(), min_size=2,
+                                      max_size=6)),
+        min_size=1,
+        max_size=8,
+    )
+    return runs.map(lambda drawn: [
+        (vaddr, write) for vaddr, flags in drawn for write in flags
+    ])

@@ -23,7 +23,7 @@ from repro.errors import VmError
 from repro.mem import PAGE_SIZE, MemoryRegion
 from repro.vm import MemoryHotplug
 
-from tests.conftest import build_stack
+from tests.conftest import build_stack, repeat_runs
 
 #: Boot RAM of the test VM, in pages (1 MiB).
 BOOT_PAGES = 256
@@ -126,16 +126,26 @@ def port_state(stack, qemu):
 @pytest.mark.parametrize("state", sorted(STATES))
 @settings(max_examples=40, deadline=None)
 @given(
-    accesses=st.lists(st.tuples(ADDRESSES, st.booleans()), max_size=30),
+    accesses=st.one_of(
+        st.lists(st.tuples(ADDRESSES, st.booleans()), max_size=30),
+        repeat_runs(st.one_of(st.sampled_from(FAULTED), ADDRESSES)),
+    ),
     data=st.data(),
 )
 def test_touch_run_equals_try_touch_per_access(
     state, layout, accesses, data
 ):
+    """Half the access lists are runs of one repeated address, writes
+    among the repeats: a faulted page in most runs, else an absent or
+    stray address or one at the end of the linear window."""
     vaddrs = [vaddr for vaddr, _write in accesses]
     writes = [write for _vaddr, write in accesses]
     start = data.draw(st.integers(0, len(vaddrs)), label="start")
-    stop = data.draw(st.integers(start, len(vaddrs)), label="stop")
+    # Drawn back from the end: hypothesis favours small draws, and a
+    # run that stops where it starts exercises nothing.
+    stop = len(vaddrs) - data.draw(
+        st.integers(0, len(vaddrs) - start), label="short of the end"
+    )
     run_stack, run_qemu, run_port = fluid_side(state, layout)
     loop_stack, loop_qemu, loop_port = fluid_side(state, layout)
     assert run_qemu.linear_ram_bytes == linear_window(layout)
@@ -145,6 +155,22 @@ def test_touch_run_equals_try_touch_per_access(
     assert index == reference_run(
         loop_port, layout, vaddrs, writes, start, stop
     )
+    assert port_state(run_stack, run_qemu) == \
+        port_state(loop_stack, loop_qemu)
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_a_repeated_page_is_marked_per_access(state):
+    """Runs of one faulted page, writes among the repeats: every write
+    dirties the page and bumps its version, as ``try_touch`` per access
+    does."""
+    run_stack, run_qemu, run_port = fluid_side(state)
+    loop_stack, loop_qemu, loop_port = fluid_side(state)
+    vaddrs = [0, 0, 0, 2 * PAGE_SIZE, 2 * PAGE_SIZE, 0]
+    writes = [False, True, True, True, True, False]
+    assert run_port.touch_run(vaddrs, writes, 0, len(vaddrs)) == \
+        reference_run(loop_port, "linear", vaddrs, writes, 0, len(vaddrs)) \
+        == len(vaddrs)
     assert port_state(run_stack, run_qemu) == \
         port_state(loop_stack, loop_qemu)
 

@@ -11,6 +11,7 @@ from repro.mem import (
     Page,
     PageTable,
 )
+from tests.conftest import repeat_runs
 
 
 # --------------------------------------------------------------- PageTable
@@ -108,21 +109,49 @@ RUN_ADDRESSES = st.one_of(
 @given(
     base=st.sampled_from([0, 3 * PAGE_SIZE, 0x7F00_0000_0000]),
     mapped=st.sets(st.integers(-3, 17), max_size=21),
-    limit=st.one_of(st.none(), st.integers(0, 18 * PAGE_SIZE)),
-    accesses=st.lists(st.tuples(RUN_ADDRESSES, st.booleans()), max_size=40),
+    limit=st.one_of(
+        st.none(),
+        st.integers(0, 18 * PAGE_SIZE),
+        st.integers(0, 18).map(lambda page: page * PAGE_SIZE),
+    ),
+    repeats=st.booleans(),
     data=st.data(),
 )
 def test_touch_run_equals_a_get_and_mark_loop(
-    base, mapped, limit, accesses, data
+    base, mapped, limit, repeats, data
 ):
     """The run body marks the pages a loop of ``get`` and
     ``Page.read``/``Page.write`` marks, in order, and stops at the same
     index: the first address that is negative, at or past ``limit``, or
-    absent -- including a present page below ``base``."""
+    absent -- including a present page below ``base``.
+
+    With ``repeats`` the accesses are runs of one address each, writes
+    among the repeats, and ``mapped`` names the pages left unmapped: a
+    repeat skips the check and the probe, so it must still mark its
+    page as the loop does, and must never carry the run past an
+    absent, negative, misaligned or at-``limit`` address the loop stops
+    at."""
+    if repeats:
+        mapped = set(range(-3, 18)) - mapped
+        addresses = st.one_of(
+            st.integers(-3, 18).map(lambda page: page * PAGE_SIZE),
+            st.just(18 * PAGE_SIZE if limit is None else limit),
+            RUN_ADDRESSES,
+        )
+        accesses = data.draw(repeat_runs(addresses), label="accesses")
+    else:
+        accesses = data.draw(
+            st.lists(st.tuples(RUN_ADDRESSES, st.booleans()), max_size=40),
+            label="accesses",
+        )
     vaddrs = [vaddr for vaddr, _write in accesses]
     writes = [write for _vaddr, write in accesses]
     start = data.draw(st.integers(0, len(vaddrs)), label="start")
-    stop = data.draw(st.integers(start, len(vaddrs)), label="stop")
+    # Drawn back from the end: hypothesis favours small draws, and a
+    # run that stops where it starts exercises nothing.
+    stop = len(vaddrs) - data.draw(
+        st.integers(0, len(vaddrs) - start), label="short of the end"
+    )
     run, loop = PageTable("run"), PageTable("loop")
     for page in sorted(mapped):
         vaddr = base + page * PAGE_SIZE

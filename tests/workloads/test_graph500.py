@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.fig4_graph500 import memory_scale_for
 from repro.bench.platform import build_platform
+from repro.core import FluidMemConfig
 from repro.errors import WorkloadError
 from repro.mem import PAGE_SIZE, PageKind
 from repro.vm import MemoryPort
@@ -15,7 +16,13 @@ from repro.workloads import (
     KroneckerGraph,
     generate_kronecker_edges,
 )
-from repro.workloads.graph500 import PARENT_BYTES, VISITED_BYTES, XADJ_BYTES
+import repro.workloads.graph500 as graph500_module
+from repro.workloads.graph500 import (
+    ADJ_BYTES,
+    PARENT_BYTES,
+    VISITED_BYTES,
+    XADJ_BYTES,
+)
 
 from .conftest import make_fluidmem_world
 
@@ -152,6 +159,13 @@ def test_memory_bytes_accounting():
 
 # ------------------------------------------------------ BFS access order
 
+def adjacency_pages(bench, start, end):
+    """The pages that adjacency elements ``start`` to ``end - 1`` live
+    on, in address order."""
+    return sorted({(bench.adj_base + edge * ADJ_BYTES) & ~(PAGE_SIZE - 1)
+                   for edge in range(start, end)})
+
+
 def reference_bfs(bench, root, driver, slot=0):
     """``Graph500.bfs`` as it was before a vertex's accesses became one
     run: one ``try_hit`` (or ``access``) per traced array element, in
@@ -161,7 +175,6 @@ def reference_bfs(bench, root, driver, slot=0):
     access = driver.access
     xadj = graph.xadj
     adjacency = graph.adjacency
-    adj_pages = bench._adj_pages
     page_mask = ~(PAGE_SIZE - 1)
     xadj_base = bench.xadj_base
     visited_base = bench.visited_bases[slot]
@@ -184,7 +197,7 @@ def reference_bfs(bench, root, driver, slot=0):
             page = (xadj_base + vertex * XADJ_BYTES) & page_mask
             if not try_hit(page):
                 yield from access(page)
-            for page in adj_pages(start, end):
+            for page in adjacency_pages(bench, start, end):
                 if not try_hit(page):
                     yield from access(page)
             for neighbor in adjacency[start:end].tolist():
@@ -206,12 +219,15 @@ def reference_bfs(bench, root, driver, slot=0):
 
 class RecordingPort(MemoryPort):
     """Passes every call through to ``inner`` unchanged and logs each
-    page access it sees: (guest page, write flag, hit, clock)."""
+    page access it sees: (guest page, write flag, hit, clock).  It also
+    counts the runs a FluidMem port retires through its ``try_touch``
+    per access rather than its page table's run body."""
 
     def __init__(self, env, inner):
         self.env = env
         self.inner = inner
         self.log = []
+        self.per_access_runs = 0
 
     def _note(self, vaddr, is_write, hit):
         self.log.append((vaddr, bool(is_write), hit, self.env.now))
@@ -225,6 +241,11 @@ class RecordingPort(MemoryPort):
         return hit
 
     def touch_run(self, vaddrs, writes, start, stop):
+        monitor = getattr(self.inner, "monitor", None)
+        if monitor is not None and (
+            monitor._prefetched_addrs or monitor.lru.reorder_on_access
+        ):
+            self.per_access_runs += 1
         done = self.inner.touch_run(vaddrs, writes, start, stop)
         for index in range(start, done):
             self._note(vaddrs[index], writes[index], True)
@@ -258,13 +279,15 @@ class RecordingPort(MemoryPort):
 ORDER_SCALE = 10
 
 
-def traced_bfs_run(backend, wss_of_dram, bfs):
+def traced_bfs_run(backend, wss_of_dram, bfs, config=None):
     """Graph500.run's steps, with each root's parent array kept, behind
-    a recording port; ``bfs`` is the traversal under test."""
+    a recording port; ``bfs`` is the traversal under test and
+    ``config`` the FluidMem monitor's (the platform's default when
+    None)."""
     graph = KroneckerGraph(ORDER_SCALE, 16, seed=42)
     platform = build_platform(
         backend, memory_scale=memory_scale_for(graph, wss_of_dram),
-        seed=42, remote_factor=6,
+        seed=42, remote_factor=6, fluidmem_config=config,
     )
     port = RecordingPort(platform.env, platform.port)
     bench = Graph500(
@@ -285,28 +308,39 @@ def traced_bfs_run(backend, wss_of_dram, bfs):
         return trees
 
     trees = platform.run(run())
-    return bench, trees, port.log
+    return bench, trees, port
 
 
-@pytest.mark.parametrize("backend,wss_of_dram", [
-    ("fluidmem-dram", 0.6),
-    ("swap-dram", 0.6),
-    ("fluidmem-ramcloud", 3.0),
-    ("swap-nvmeof", 3.0),
+@pytest.mark.parametrize("backend,wss_of_dram,config", [
+    pytest.param("fluidmem-dram", 0.6, None, id="fluidmem-dram-0.6"),
+    pytest.param("swap-dram", 0.6, None, id="swap-dram-0.6"),
+    pytest.param("fluidmem-ramcloud", 3.0, None, id="fluidmem-ramcloud-3.0"),
+    pytest.param("swap-nvmeof", 3.0, None, id="swap-nvmeof-3.0"),
+    # FluidMemoryPort.touch_run's per-access body: prefetched pages
+    # await their first hit, or the LRU-reorder ablation is on.
+    pytest.param("fluidmem-dram", 3.0, FluidMemConfig(prefetch_pages=4),
+                 id="fluidmem-dram-3.0-prefetch4"),
+    pytest.param("fluidmem-dram", 3.0,
+                 FluidMemConfig(lru_reorder_on_access=True),
+                 id="fluidmem-dram-3.0-reorder"),
 ])
-def test_bfs_accesses_pages_in_the_reference_order(backend, wss_of_dram):
-    """Each vertex's run-built trace makes the same port calls, page
-    for page, with the same write flags, hits and misses, at the same
-    simulated instants as the per-element loop, and both traversals
-    give the same valid BFS trees."""
-    _bench, expected, expected_log = traced_bfs_run(
-        backend, wss_of_dram, reference_bfs
+def test_bfs_accesses_pages_in_the_reference_order(
+    backend, wss_of_dram, config
+):
+    """The chunk-built trace makes the same port calls, page for page,
+    with the same write flags, hits and misses, at the same simulated
+    instants as the per-element loop, and both traversals give the
+    same valid BFS trees."""
+    _bench, expected, expected_port = traced_bfs_run(
+        backend, wss_of_dram, reference_bfs, config
     )
-    bench, trees, log = traced_bfs_run(
-        backend, wss_of_dram, lambda b, *args: b.bfs(*args)
+    bench, trees, port = traced_bfs_run(
+        backend, wss_of_dram, lambda b, *args: b.bfs(*args), config
     )
-    assert log == expected_log
+    log = port.log
+    assert log == expected_port.log
     assert any(not hit for _page, _write, hit, _now in log)
+    assert (port.per_access_runs > 0) == (config is not None)
     assert len(trees) == len(expected) == 2
     for (root, edges, parent), (root_ref, edges_ref, parent_ref) in zip(
         trees, expected
@@ -314,3 +348,162 @@ def test_bfs_accesses_pages_in_the_reference_order(backend, wss_of_dram):
         assert (root, edges) == (root_ref, edges_ref)
         assert np.array_equal(parent, parent_ref)
         assert bench.validate_bfs(root, parent)
+
+
+# ------------------------------------------- chunked levels, per vertex
+
+def per_vertex_bfs(bench, root, slot):
+    """The per-vertex loop ``Graph500.bfs`` ran before it expanded each
+    level in chunks, with the driver taken out.  Returns the edge count,
+    the parent list, each level's frontier with the access count of
+    each of its vertices, and the pages and write flags handed over,
+    the root's two writes first."""
+    graph = bench.graph
+    xadj = graph.xadj
+    adjacency = graph.adjacency
+    page_mask = ~(PAGE_SIZE - 1)
+    visited_base = bench.visited_bases[slot]
+    parent_base = bench.parent_bases[slot]
+    parent = [-1] * graph.num_vertices
+    parent[root] = root
+    trace = [(parent_base + root * PARENT_BYTES) & page_mask,
+             (visited_base + root * VISITED_BYTES) & page_mask]
+    trace_writes = [True, True]
+    levels = []
+    frontier = [root]
+    edges_traversed = 0
+    while frontier:
+        next_frontier = []
+        lengths = []
+        for vertex in frontier:
+            start = int(xadj[vertex])
+            end = int(xadj[vertex + 1])
+            pages = [(bench.xadj_base + vertex * XADJ_BYTES) & page_mask]
+            pages.extend(adjacency_pages(bench, start, end))
+            writes = [False] * len(pages)
+            for neighbor in adjacency[start:end].tolist():
+                pages.append(
+                    (visited_base + neighbor * VISITED_BYTES) & page_mask
+                )
+                writes.append(False)
+                if parent[neighbor] == -1:
+                    parent[neighbor] = vertex
+                    pages.append(
+                        (parent_base + neighbor * PARENT_BYTES) & page_mask
+                    )
+                    writes.append(True)
+                    next_frontier.append(neighbor)
+            edges_traversed += end - start
+            trace.extend(pages)
+            trace_writes.extend(writes)
+            lengths.append(len(pages))
+        levels.append((frontier, lengths))
+        frontier = next_frontier
+    return edges_traversed, parent, levels, trace, trace_writes
+
+
+def chunk_lengths(graph, frontier, lengths, bound):
+    """The access count of each chunk of a level: whole vertices, at
+    most ``bound`` edges a chunk unless one vertex holds more."""
+    chunks, edges = [], 0
+    for vertex, length in zip(frontier, lengths):
+        degree = graph.degree(vertex)
+        if chunks and edges + degree <= bound:
+            chunks[-1] += length
+            edges += degree
+        else:
+            chunks.append(length)
+            edges = degree
+    return chunks
+
+
+class ListDriver:
+    """A driver on which every access hits; it keeps each access it is
+    handed and checks that it is a Python int with a Python bool."""
+
+    def __init__(self):
+        self.pages = []
+        self.writes = []
+
+    def try_hits(self, vaddrs, writes, start=0):
+        assert start == 0 and len(vaddrs) == len(writes)
+        assert {type(vaddr) for vaddr in vaddrs} <= {int}
+        assert {type(write) for write in writes} <= {bool}
+        self.pages.extend(vaddrs)
+        self.writes.extend(writes)
+        return len(vaddrs)
+
+    def access(self, vaddr, is_write=False):
+        assert type(vaddr) is int and type(is_write) is bool
+        self.pages.append(vaddr)
+        self.writes.append(is_write)
+        yield from ()
+
+
+#: (scale, edgefactor, seed) of each graph: scales 4 to 11; the last
+#: has a vertex of more than 4,096 edges.
+CHUNK_GRAPHS = [(4, 4, 1), (5, 8, 2), (6, 16, 3), (7, 4, 4), (8, 16, 5),
+                (9, 8, 6), (10, 16, 7), (11, 16, 8), (11, 32, 9)]
+
+
+@pytest.mark.parametrize("bound", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("scale,edgefactor,seed", CHUNK_GRAPHS)
+def test_chunked_levels_equal_the_per_vertex_loop(
+    monkeypatch, scale, edgefactor, seed, bound
+):
+    """Chunk by chunk, ``Graph500.bfs`` hands the driver the pages and
+    write flags the per-vertex loop did, in its order, and ends with
+    its edge count and parent array; each level's frontier is the
+    loop's, cut into the chunks the bound allows.  The roots include a
+    vertex of no edges where the graph has one, and the BFS expands a
+    vertex holding more edges than the bound whenever the graph has
+    one."""
+    if bound is not None:
+        monkeypatch.setattr(graph500_module, "_CHUNK_EDGES", bound)
+    bound = graph500_module._CHUNK_EDGES
+    graph = KroneckerGraph(scale, edgefactor, seed)
+    bench = Graph500(None, None, 0x40000, Graph500Config(
+        scale=scale, edgefactor=edgefactor, num_bfs_roots=3, seed=seed,
+    ), graph=graph)
+    roots = bench.pick_roots()
+    isolated = np.flatnonzero(np.diff(graph.xadj) == 0)
+    roots += [int(vertex) for vertex in isolated[:1]]
+
+    expanded = []
+    expand = Graph500._expand
+
+    def recording_expand(self, frontier, parent, slot):
+        chunks = []
+        expanded.append((frontier.tolist(), chunks))
+        for chunk in expand(self, frontier, parent, slot):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(Graph500, "_expand", recording_expand)
+    oversized = False
+    for index, root in enumerate(roots):
+        slot = index % 2
+        edges, parent, levels, pages, writes = per_vertex_bfs(
+            bench, root, slot
+        )
+        driver = ListDriver()
+        expanded.clear()
+        with pytest.raises(StopIteration) as done:
+            next(bench.bfs(root, driver, slot))
+        got_edges, got_parent = done.value.value
+        assert type(got_edges) is int and got_edges == edges
+        assert got_parent.dtype == np.int64
+        assert got_parent.tolist() == parent
+        assert (driver.pages, driver.writes) == (pages, writes)
+        assert [frontier for frontier, _chunks in expanded] == [
+            frontier for frontier, _lengths in levels
+        ]
+        for (frontier, chunks), (_frontier, lengths) in zip(
+            expanded, levels
+        ):
+            assert chunks == chunk_lengths(graph, frontier, lengths, bound)
+        oversized |= any(
+            graph.degree(vertex) > bound
+            for frontier, _lengths in levels for vertex in frontier
+        )
+    assert oversized == bool(np.diff(graph.xadj).max() > bound)
