@@ -12,11 +12,11 @@ trigger page faults — a deadlock.  Full (software) emulation survives.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..errors import PageTableError, VcpuDeadlockError
 from ..kernel import check_fault_address
-from ..mem import PAGE_SIZE, PageKind
+from ..mem import PAGE_SIZE, Page, PageKind
 from ..sim import Environment
 from ..vm import GuestVM, MemoryPort, QemuProcess, VirtMode
 from .monitor import Monitor, VmRegistration
@@ -117,6 +117,24 @@ class FluidMemoryPort(MemoryPort):
             if not 0 <= vaddr < limit or not try_touch(vaddr, writes[index]):
                 return index
         return stop
+
+    def resident_set(self, vaddrs: Sequence[int]) -> Optional[List[Page]]:
+        """The port's set body: the QEMU page table's, over the window
+        :meth:`touch_run` marks through it.
+
+        A hit here only marks the page while no prefetched page awaits
+        its first hit and the LRU-reorder ablation is off, so it
+        declines unless both hold; only a simulated process can change
+        either, and none runs within a set.  An address outside the
+        linear-RAM window declines too.
+        """
+        monitor = self.monitor
+        if monitor._prefetched_addrs or monitor.lru.reorder_on_access:
+            return None
+        qemu = self.qemu
+        return qemu.page_table.resident_set(
+            vaddrs, qemu.ram_base, qemu.linear_ram_bytes
+        )
 
     def touch(self, vaddr: int, is_write: bool = False) -> None:
         if not self.try_touch(vaddr, is_write):

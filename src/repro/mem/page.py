@@ -118,7 +118,9 @@ class Page:
         ``FluidMemoryPort.try_touch``, ``PageTable.touch_run``) and the
         guest kernel's fault body (``GuestMemoryManager.access_fault``)
         set the same fields inline, as :meth:`read` and this method
-        with no ``data`` would.
+        with no ``data`` would; ``AccessDriver.try_hit_set`` sets them
+        once per page per flush window, ``version`` raised by the
+        window's writes to the page.
         """
         if data is not None:
             if len(data) != PAGE_SIZE:

@@ -12,7 +12,7 @@ without touching page contents (paper §V-B, zero-copy semantics).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageTableError
 from .addr import PAGE_SIZE, is_page_aligned
@@ -147,6 +147,36 @@ class PageTable:
                 page.version += 1
             previous = vaddr
         return stop
+
+    def resident_set(
+        self,
+        vaddrs: Sequence[int],
+        base: int = 0,
+        limit: Optional[int] = None,
+    ) -> Optional[List[Page]]:
+        """The page of each of ``vaddrs``, if all are present: the set body.
+
+        Returns the page object at ``base + vaddrs[i]`` for each ``i``,
+        in order, or None as soon as an address is negative, at or past
+        ``limit`` (when one is given) or absent, where :meth:`touch_run`
+        would stop.  It marks nothing: a caller that sets on each page
+        what ``Page.read`` or ``Page.write`` with no data sets does what
+        :meth:`touch_run` does over accesses to these pages.  Like
+        :meth:`get` it does no alignment check, since a misaligned
+        address can only be absent.
+        """
+        if limit is None:
+            limit = _NO_LIMIT
+        get = self._entries.get
+        pages = []
+        for vaddr in vaddrs:
+            if not 0 <= vaddr < limit:
+                return None
+            pte = get(base + vaddr)
+            if pte is None:
+                return None
+            pages.append(pte.page)
+        return pages
 
     def entry(self, vaddr: int) -> PageTableEntry:
         """Like :meth:`lookup` but raises when absent."""

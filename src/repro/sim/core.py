@@ -199,8 +199,9 @@ class Timeout(Event):
     __slots__ = ("delay", "poolable")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        # One comparison refuses a negative delay and a NaN alike.
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay {delay!r}")
         # Inlined Event.__init__ — this constructor is hot.
         self.env = env
         self.callbacks = []
@@ -528,8 +529,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` µs from now."""
         if self.scheduler is None:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
+            if not delay >= 0:
+                raise SimulationError(f"invalid timeout delay {delay!r}")
             pool = self._timeout_pool
             if pool:
                 # Recycled events come back with their (cleared)
@@ -654,9 +655,10 @@ class Environment:
                 raise stop_event._value
         else:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:
                 raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is in the past or not a time "
+                    f"(now={self._now})"
                 )
 
         heap = self._heap
@@ -734,8 +736,8 @@ class Environment:
         with :meth:`try_advance`, which falls back to a timeout instead
         of raising.
         """
-        if delta < 0:
-            raise SimulationError(f"cannot advance by negative delta {delta}")
+        if not delta >= 0:
+            raise SimulationError(f"cannot advance by delta {delta}")
         target = self._now + delta
         if self._heap and self._heap[0][0] < target:
             raise SimulationError(
@@ -754,7 +756,7 @@ class Environment:
         legal when the jump skips no scheduled event; going backwards is
         never legal.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"sync_to({time}) would move the clock backwards "
                 f"from {self._now}"
@@ -776,10 +778,11 @@ class Environment:
         event would have fired first, FIFO), no schedule-exploration
         policy installed (it must see every scheduling decision), and no
         ``run(until=<time>)`` stop time that the bump would overshoot.
-        Returns False when any of that fails; callers then fall back to
-        a real timeout.
+        Returns False when any of that fails, and for a negative or NaN
+        ``delta``; callers then fall back to a real timeout, which
+        raises for the delta this refused.
         """
-        if self.scheduler is not None or delta < 0.0:
+        if self.scheduler is not None or not delta >= 0.0:
             return False
         target = self._now + delta
         heap = self._heap
@@ -828,7 +831,7 @@ class Environment:
         """
         if (
             self.scheduler is not None
-            or target < self._now
+            or not target >= self._now
             or self._heap
             or self._until_cap is not None
         ):

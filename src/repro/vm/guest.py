@@ -27,7 +27,7 @@ from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import VmError
 from ..kernel import GuestMemoryManager
-from ..mem import GIB, PAGE_SIZE, PageKind, pages_for_bytes
+from ..mem import GIB, PAGE_SIZE, Page, PageKind, pages_for_bytes
 from ..sim import Environment
 
 __all__ = [
@@ -71,7 +71,9 @@ class MemoryPort(abc.ABC):
         branch) and the hits an :class:`~repro.workloads.AccessDriver`
         retires one at a time go through it; the hits its ``try_hits``
         retires as a run go through :meth:`touch_run`, which marks each
-        page as this method would.  It keeps no port-level hit count:
+        page as this method would, and the driver marks the hits its
+        ``try_hit_set`` retires as a set itself, on the pages
+        :meth:`resident_set` returns.  It keeps no port-level hit count:
         FluidMem's ``lru_hits`` counts only the hits of
         :meth:`try_access` and :meth:`access`, never a driver's hits.
         Every port provides it (``SwapMemoryPort`` binds the guest
@@ -100,6 +102,24 @@ class MemoryPort(abc.ABC):
         :meth:`~repro.mem.PageTable.touch_run`).
         """
         raise NotImplementedError
+
+    def resident_set(self, vaddrs: Sequence[int]) -> Optional[List[Page]]:
+        """The page object of each of ``vaddrs`` if all of them hit.
+
+        The port's set body, for a run whose pages are all resident:
+        it returns the pages in the order of ``vaddrs``, or None as soon
+        as one is absent or one :meth:`touch_run` would stop before.  It
+        marks nothing.  Returning the pages promises that, while no
+        simulated process runs, :meth:`try_touch` on an access to one of
+        them would only set what ``Page.read``/``Page.write`` set on
+        that page, so a caller may set those marks itself, each distinct
+        page once per stretch of simulated time (an
+        :class:`~repro.workloads.AccessDriver` flush window).  The
+        default declines: a port without a set body returns None, and
+        its callers use :meth:`touch_run`.  ``SwapMemoryPort`` binds the
+        guest page table's :meth:`~repro.mem.PageTable.resident_set`.
+        """
+        return None
 
     @abc.abstractmethod
     def touch(self, vaddr: int, is_write: bool = False) -> None:
@@ -183,11 +203,12 @@ class SwapMemoryPort(MemoryPort):
 
     def __init__(self, mm: GuestMemoryManager) -> None:
         self.mm = mm
-        #: The hit, run and miss bodies are the guest kernel's own,
-        #: bound here so that each costs one call rather than a wrapper
-        #: and the call inside.
+        #: The hit, run, set and miss bodies are the guest kernel's
+        #: own, bound here so that each costs one call rather than a
+        #: wrapper and the call inside.
         self.try_touch = mm.try_touch
         self.touch_run = mm.table.touch_run
+        self.resident_set = mm.table.resident_set
         self.fault = mm.access_fault
 
     def is_resident(self, vaddr: int) -> bool:

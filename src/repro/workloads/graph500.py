@@ -245,16 +245,21 @@ class Graph500:
             slot: int = 0) -> Generator:
         """One traced BFS; returns (edges_traversed, parent array).
 
-        Each level is expanded in chunks (:meth:`_expand`) and each
-        chunk's page accesses are retired as one run of hits through
-        ``driver.try_hits``, falling back to ``driver.access`` where the
-        run stops.  The trace depends only on the graph and the root
-        (nothing simulated reads ``parent`` or the frontier), so it can
-        be built before its first access, and a run of hits passes no
-        simulated time: the port sees the calls, at the instants, of a
-        loop that touches one array element at a time.
+        Each level is expanded in chunks (:meth:`_expand`).  A chunk's
+        page accesses are offered to ``driver.try_hit_set``, which
+        retires them when every page they touch is resident, falling
+        back to ``driver.access`` where a flush stops it; from the first
+        offer it declines, the rest of the chunk is retired as one run
+        of hits through ``driver.try_hits`` over Python lists, falling
+        back to ``driver.access`` where the run stops.  The trace
+        depends only on the graph and the root (nothing simulated reads
+        ``parent`` or the frontier), so it can be built before its first
+        access, and a run of hits passes no simulated time: the port
+        sees the marks, at the instants, of a loop that touches one
+        array element at a time.
         """
         access = driver.access
+        try_hit_set = driver.try_hit_set
         try_hits = driver.try_hits
         page_mask = ~(PAGE_SIZE - 1)
         parent = np.full(self.graph.num_vertices, -1, dtype=np.int64)
@@ -272,11 +277,22 @@ class Graph500:
             reached = []
             for pages, writes, new in self._expand(frontier, parent, slot):
                 reached.append(new)
-                index = try_hits(pages, writes)
                 stop = len(pages)
-                while index < stop:
-                    yield from access(pages[index], writes[index])
-                    index = try_hits(pages, writes, index + 1)
+                index = 0
+                done = try_hit_set(pages, writes)
+                while done is not None and done < stop:
+                    yield from access(int(pages[done]), bool(writes[done]))
+                    index = done + 1
+                    done = try_hit_set(pages, writes, index)
+                if done is None:
+                    # Declined (a page of the rest is absent, or the
+                    # driver has no set body for it): the rest goes
+                    # through the run body, whatever it faults in.
+                    pages, writes = pages.tolist(), writes.tolist()
+                    index = try_hits(pages, writes, index)
+                    while index < stop:
+                        yield from access(pages[index], writes[index])
+                        index = try_hits(pages, writes, index + 1)
             frontier = np.concatenate(reached)
         # Each reached vertex was expanded once, all its edges with it.
         degrees = np.diff(self.graph.xadj)
@@ -284,7 +300,7 @@ class Graph500:
 
     def _expand(
         self, frontier: np.ndarray, parent: np.ndarray, slot: int
-    ) -> Iterator[Tuple[List[int], List[bool], np.ndarray]]:
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Expand one BFS level, a chunk of frontier vertices at a time.
 
         A chunk is a run of whole vertices holding at most
@@ -309,19 +325,19 @@ class Graph500:
         ends: np.ndarray,
         parent: np.ndarray,
         slot: int,
-    ) -> Tuple[List[int], List[bool], np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Traverse ``vertices`` (edges ``starts[i]:ends[i]`` each).
 
         Sets ``parent`` of the vertices they reach and returns the page
         accesses in traversal order (per vertex its ``xadj`` page and
         adjacency pages, then per neighbour the visited page and, for a
-        newly reached neighbour, the parent page as a write) as lists of
-        ints and bools, and the reached vertices in the order a
-        per-vertex loop appends them to the next frontier.  A neighbour
-        is newly reached at its first occurrence in the chunk if its
-        parent is still -1 at the chunk's start: that is where the loop
-        would find it unset, since only an earlier occurrence could
-        have set it.
+        newly reached neighbour, the parent page as a write) as an int64
+        array of pages and a bool array of write flags, and the reached
+        vertices in the order a per-vertex loop appends them to the
+        next frontier.  A neighbour is newly reached at its first
+        occurrence in the chunk if its parent is still -1 at the
+        chunk's start: that is where the loop would find it unset,
+        since only an earlier occurrence could have set it.
         """
         page_mask = ~(PAGE_SIZE - 1)
         # Each edge's neighbour, vertex after vertex; ``owner`` is the
@@ -376,7 +392,7 @@ class Graph500:
         ) & page_mask
         writes = np.zeros(len(pages), dtype=bool)
         writes[parent_at] = True
-        return pages.tolist(), writes.tolist(), reached
+        return pages, writes, reached
 
     def run(self) -> Generator:
         """Load the graph, run the BFS trials, return a Graph500Result."""

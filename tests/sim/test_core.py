@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
+
+NAN = float("nan")
 
 
 def test_clock_starts_at_zero():
@@ -44,6 +46,58 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+def test_nan_timeout_rejected():
+    """A NaN delay passes a ``delay < 0`` guard; the engine refuses it
+    as it refuses a negative one, and schedules nothing."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(NAN)
+    with pytest.raises(SimulationError):
+        Timeout(env, NAN)
+    assert env.peek() == float("inf")
+
+
+def test_nan_timeout_in_a_process_fails_the_process():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(1.0)
+        yield env.timeout(NAN)
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError):
+        env.run()
+    assert env.now == 1.0
+
+
+def test_try_advance_refuses_nan():
+    env = Environment(initial_time=3.0)
+    assert not env.try_advance(NAN)
+    assert env.now == 3.0
+    env.timeout(10.0)
+    assert not env.try_advance(NAN)
+    assert env.now == 3.0
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(10.0)
+    with pytest.raises(SimulationError):
+        env.run(until=NAN)
+    assert env.now == 0.0
+    assert env.peek() == 10.0
+
+
+def test_advance_and_clock_jumps_refuse_nan():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.advance(NAN)
+    with pytest.raises(SimulationError):
+        env.sync_to(NAN)
+    assert not env.try_advance_batch(NAN)
+    assert env.now == 0.0
 
 
 def test_process_return_value():

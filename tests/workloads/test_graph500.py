@@ -419,11 +419,15 @@ def chunk_lengths(graph, frontier, lengths, bound):
 
 class ListDriver:
     """A driver on which every access hits; it keeps each access it is
-    handed and checks that it is a Python int with a Python bool."""
+    handed and checks that it is a Python int with a Python bool.  It
+    declines every set offer, so ``bfs`` hands it each chunk as lists."""
 
     def __init__(self):
         self.pages = []
         self.writes = []
+
+    def try_hit_set(self, vaddrs, writes, start=0):
+        return None
 
     def try_hits(self, vaddrs, writes, start=0):
         assert start == 0 and len(vaddrs) == len(writes)
@@ -470,13 +474,19 @@ def test_chunked_levels_equal_the_per_vertex_loop(
     roots += [int(vertex) for vertex in isolated[:1]]
 
     expanded = []
+    chunked = ([], [])
     expand = Graph500._expand
 
     def recording_expand(self, frontier, parent, slot):
         chunks = []
         expanded.append((frontier.tolist(), chunks))
         for chunk in expand(self, frontier, parent, slot):
-            chunks.append(len(chunk[0]))
+            chunk_pages, chunk_writes, _new = chunk
+            assert chunk_pages.dtype == np.int64
+            assert chunk_writes.dtype == np.bool_
+            chunked[0].extend(chunk_pages.tolist())
+            chunked[1].extend(chunk_writes.tolist())
+            chunks.append(len(chunk_pages))
             yield chunk
 
     monkeypatch.setattr(Graph500, "_expand", recording_expand)
@@ -488,6 +498,8 @@ def test_chunked_levels_equal_the_per_vertex_loop(
         )
         driver = ListDriver()
         expanded.clear()
+        for handed in chunked:
+            handed.clear()
         with pytest.raises(StopIteration) as done:
             next(bench.bfs(root, driver, slot))
         got_edges, got_parent = done.value.value
@@ -495,6 +507,8 @@ def test_chunked_levels_equal_the_per_vertex_loop(
         assert got_parent.dtype == np.int64
         assert got_parent.tolist() == parent
         assert (driver.pages, driver.writes) == (pages, writes)
+        # The chunks' arrays, the root's two writes before them.
+        assert chunked == (pages[2:], writes[2:])
         assert [frontier for frontier, _chunks in expanded] == [
             frontier for frontier, _lengths in levels
         ]

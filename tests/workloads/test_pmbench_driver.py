@@ -47,6 +47,30 @@ def test_driver_flush_every_validation(fluid_world):
         AccessDriver(fluid_world.env, fluid_world.port, flush_every=0)
 
 
+@pytest.mark.parametrize(
+    "cost", [float("nan"), float("inf"), float("-inf"), -0.15]
+)
+def test_driver_hit_cost_validation(fluid_world, cost):
+    """A NaN cost would poison the clock at the first flush, and a
+    negative one would make hits free, since a flush settles only a
+    positive pending time."""
+    with pytest.raises(ValueError):
+        AccessDriver(fluid_world.env, fluid_world.port, hit_cost_us=cost)
+
+
+@pytest.mark.parametrize("cost", [0.0, 0.15, 0.1, 1e-300])
+@pytest.mark.parametrize("flush_every", [1, 7, 256])
+def test_pending_hit_time_is_the_in_order_sum(fluid_world, cost,
+                                               flush_every):
+    driver = AccessDriver(fluid_world.env, fluid_world.port,
+                          hit_cost_us=cost, flush_every=flush_every)
+    pending = 0.0
+    assert len(driver._pending_after) == flush_every + 1
+    for hits, table in enumerate(driver._pending_after):
+        assert table.hex() == pending.hex(), hits
+        pending += cost
+
+
 # ----------------------------------------------------------------- Pmbench
 
 def test_pmbench_config_validation():
