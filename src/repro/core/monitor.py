@@ -158,7 +158,7 @@ class Monitor:
         # Lazily cached phase histograms (the Profiler's) + epilogue
         # histograms for the fault path.  Each is created at its first
         # actual record (eager creation would add empty instruments to
-        # the --metrics document, DESIGN.md §17).  A phase sample is
+        # the --metrics document, DESIGN.md §12).  A phase sample is
         # non-negative by construction, so it is appended to the
         # retained samples while they are under the cap and recorded
         # past it (DESIGN.md §12).  A profiler reset drops the phase
@@ -246,17 +246,10 @@ class Monitor:
             yield from self._run_concurrent()
             return
         # The paper's single-threaded monitor loop: one fault at a
-        # time, in event order.  Burst drain (DESIGN.md §17): when a
-        # fault burst is already queued (e.g. several vCPUs faulted
-        # while a previous fault was being serviced), the guarded
-        # ``try_get_batch`` consumes the next event with zero heap
-        # traffic; each fault is still serviced one at a time, in the
-        # exact order the event rendezvous would have produced.
+        # time, in event order.
         events = self.uffd.events
         while self._running:
-            fault = events.try_get_batch() if events.items else None
-            if fault is None:
-                fault = yield events.get()
+            fault = yield events.get()
             yield from self._service_fault(fault)
 
     def _run_concurrent(self) -> Generator:
@@ -299,16 +292,9 @@ class Monitor:
         The serial loop, every ``fault_handlers > 1`` coroutine and
         runs under a ``SchedulePolicy`` all come here.  Each
         handler-time charge draws its sample first (the RNG order is
-        part of the determinism contract), then pays it one of two
-        ways (DESIGN.md §17):
-
-        * while a batch window is open (:meth:`Environment.batch_window`:
-          no scheduler, an empty heap, no run-until cap — nothing can
-          interleave), on a local clock, in charge order, committed
-          once before the wake or the store read;
-        * otherwise as an :meth:`Environment.try_advance`, or else a
-          real timeout, so a schedule policy sees every scheduling
-          point.
+        part of the determinism contract), then pays it as an
+        :meth:`Environment.try_advance`, or else a real timeout, so a
+        schedule policy sees every scheduling point (DESIGN.md §12).
 
         The rare branches (no-tracker ablation, write-list steal,
         synchronous read) finish the fault in helpers that return the
@@ -337,14 +323,10 @@ class Monitor:
             gauss = self._rng.gauss
             uffd_lat = ops.latency
             addr = fault.addr
-            window = env.batch_window()
-            clock = start
             sample = gauss(lat.dispatch_mean, lat.dispatch_sigma)
             if sample < 0.05:
                 sample = 0.05
-            if window:
-                clock += sample
-            elif not env.try_advance(sample):
+            if not env.try_advance(sample):
                 yield env.timeout(sample)
             ph = self._ph_dispatch or self._phase(
                 "_ph_dispatch", CodePath.EVENT_DISPATCH)
@@ -378,9 +360,7 @@ class Monitor:
                     )
                     if sample < 0.05:
                         sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
+                    if not env.try_advance(sample):
                         yield env.timeout(sample)
                     ph = self._ph_insert_hash or self._phase(
                         "_ph_insert_hash", CodePath.INSERT_PAGE_HASH_NODE)
@@ -390,9 +370,7 @@ class Monitor:
                         ph.record(sample)
                     self.tracker.mark_seen(key)
                     cost = uffd_lat.sample_zeropage(ops._rng)
-                    if window:
-                        clock += cost
-                    elif not env.try_advance(cost):
+                    if not env.try_advance(cost):
                         yield env.timeout(cost)
                     ops.finish_zeropage(table, addr)
                     ph = self._ph_zeropage or self._phase(
@@ -406,9 +384,7 @@ class Monitor:
                     )
                     if sample < 0.05:
                         sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
+                    if not env.try_advance(sample):
                         yield env.timeout(sample)
                     ph = self._ph_insert_lru or self._phase(
                         "_ph_insert_lru", CodePath.INSERT_LRU_CACHE_NODE)
@@ -427,9 +403,7 @@ class Monitor:
                     )
                     if sample < 0.05:
                         sample = 0.05
-                    if window:
-                        clock += sample
-                    elif not env.try_advance(sample):
+                    if not env.try_advance(sample):
                         yield env.timeout(sample)
                     ph = self._ph_lookup or self._phase(
                         "_ph_lookup", CodePath.LOOKUP_PAGE_HASH)
@@ -437,13 +411,6 @@ class Monitor:
                         ph._samples.append(sample)
                     else:
                         ph.record(sample)
-
-            if window:
-                # The one commit.  Nothing above touched the heap, so
-                # each charge's own try_advance would have succeeded:
-                # jumping to their in-order sum lands on the same float.
-                if not env.try_advance_batch(clock):
-                    env.sync_to(clock)  # pragma: no cover - defensive
 
             if path is not None:
                 # Spurious or zero-fill: wake the vCPU.
@@ -1302,7 +1269,7 @@ class Monitor:
         (``target`` is then ignored).  Each victim is REMAPped into
         the eviction buffer and queued for write-back, or written
         synchronously when ``async_writeback`` is off.  The per-page
-        steps are inlined into this one loop (DESIGN.md §17).
+        steps are inlined into this one loop (DESIGN.md §12).
         """
         lru = self.lru
         entries = lru._entries

@@ -96,40 +96,6 @@ class SwapSubsystem:
 
     # -- swap-out (called by kswapd / direct reclaim) -------------------------
 
-    def swap_out(
-        self,
-        page: Page,
-        table: PageTable,
-        frames: FrameAllocator,
-    ) -> Generator:
-        """Write ``page`` to swap and free its frame.
-
-        Refuses non-swappable pages — this is swap's fundamental
-        limitation (paper §II): file-backed, kernel, unevictable, and
-        mlocked pages cannot use swap space.
-        """
-        if not page.evictable_by_swap:
-            raise SwapError(
-                f"{page!r} ({page.kind.value}) cannot be swapped out"
-            )
-        if page.vaddr in self._entries:
-            raise SwapError(f"{page!r} already has a swap entry")
-        slot = self.slots.allocate()
-        # Unmap first; until the write completes the page stays in the
-        # swap cache, so a racing fault is a cache hit, not device I/O.
-        pte = table.unmap(page.vaddr)
-        self._entries[page.vaddr] = slot
-        self._slot_vaddr[slot] = page.vaddr
-        self._swap_cache[page.vaddr] = (page, pte.frame)
-        yield from self.device.write(slot, SECTOR_BYTES)
-        # Write durable: drop the in-memory copy, free the frame.
-        cached = self._swap_cache.get(page.vaddr)
-        if cached is not None and cached[0] is page:
-            del self._swap_cache[page.vaddr]
-            frames.free(pte.frame)
-            self.counters.incr("swapped_out")
-        # else: a fault re-took the page mid-writeback (handled there).
-
     def swap_out_batch(
         self,
         pages: List[Page],

@@ -56,7 +56,7 @@ class DramStore(KeyValueBackend):
         :class:`~repro.sim.core.DetachedProcess` per read — an
         ``Initialize`` heap event and a generator frame; with no
         scheduler it settles without a completion event (DESIGN.md
-        §17).  A DRAM read is RNG-free with a fixed ``COPY_US``
+        §12).  A DRAM read is RNG-free with a fixed ``COPY_US``
         charge, so with no scheduler installed the whole bottom half
         collapses to two callbacks and no generator at all:
 

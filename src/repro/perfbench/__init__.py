@@ -2,7 +2,7 @@
 
 Everything else in this repo measures *simulated* time; this package
 measures how fast the simulator itself runs.  See
-:mod:`repro.perfbench.benchmarks` for the three measurements and the
+:mod:`repro.perfbench.benchmarks` for the four measurements and the
 noise-rejection protocol, and ``BENCH_WALLCLOCK.json`` at the repo
 root for the recorded trajectory the CI gate compares against.
 """
@@ -11,7 +11,6 @@ from .benchmarks import (
     FULL_SIZES,
     PERFBENCH_SCHEMA,
     QUICK_SIZES,
-    bench_burst_resolve,
     bench_engine,
     bench_fig3_quick,
     bench_monitor,
@@ -24,7 +23,6 @@ __all__ = [
     "FULL_SIZES",
     "QUICK_SIZES",
     "bench_engine",
-    "bench_burst_resolve",
     "bench_monitor",
     "bench_fig3_quick",
     "run_suite",

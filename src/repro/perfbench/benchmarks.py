@@ -1,16 +1,11 @@
 """Seeded wall-clock microbenchmarks for the simulation hot path.
 
-Five measurements, smallest scope to largest:
+Four measurements, smallest scope to largest:
 
 * **engine** — raw event throughput of the discrete-event core: N
   processes looping on ``timeout(1.0)``, reported as events/sec.  This
   isolates :mod:`repro.sim.core` (heap, Timeout pooling, ``_resume``)
   from everything above it.
-* **burst-resolve** — the batch-resolution primitives on their own:
-  ``Store.put_nowait`` → ``Store.try_get_batch`` hand-offs with the
-  cohort's accumulated cost committed through
-  ``Environment.try_advance_batch`` (DESIGN.md §17), reported as
-  ops/sec.  This is the layer the monitor's fault path stands on.
 * **monitor** — the FluidMem fault path end to end: pmbench against the
   ``fluidmem-dram`` platform at a tiny memory scale so every access
   faults, reported as accesses/sec.  Exercises uffd delivery, the
@@ -47,7 +42,6 @@ __all__ = [
     "FULL_SIZES",
     "QUICK_SIZES",
     "bench_engine",
-    "bench_burst_resolve",
     "bench_monitor",
     "bench_fig3_quick",
     "bench_prefetcher",
@@ -64,7 +58,6 @@ PERFBENCH_SCHEMA = "repro-perfbench-metrics/1"
 FULL_SIZES = {
     "engine_events": 800_000,
     "engine_procs": 4,
-    "burst_ops": 600_000,
     "monitor_accesses": 30_000,
     "fig3_accesses": 4_000,
     "prefetcher_ops": 400_000,
@@ -74,7 +67,6 @@ FULL_SIZES = {
 QUICK_SIZES = {
     "engine_events": 200_000,
     "engine_procs": 4,
-    "burst_ops": 150_000,
     "monitor_accesses": 8_000,
     "fig3_accesses": 1_500,
     "prefetcher_ops": 100_000,
@@ -82,10 +74,10 @@ QUICK_SIZES = {
 
 #: Best-of-N repetitions per benchmark (noise rejection).
 FULL_REPS = {
-    "engine": 3, "burst": 2, "monitor": 2, "fig3": 2, "prefetcher": 2,
+    "engine": 3, "monitor": 2, "fig3": 2, "prefetcher": 2,
 }
 QUICK_REPS = {
-    "engine": 2, "burst": 1, "monitor": 1, "fig3": 1, "prefetcher": 1,
+    "engine": 2, "monitor": 1, "fig3": 1, "prefetcher": 1,
 }
 
 
@@ -109,45 +101,6 @@ def bench_engine(total_events: int = 800_000, procs: int = 4) -> float:
     started = time.perf_counter()
     env.run()
     return total_events / (time.perf_counter() - started)
-
-
-def bench_burst_resolve(ops: int = 600_000) -> float:
-    """Burst-resolution primitive throughput in ops/sec.
-
-    One op = one ``put_nowait`` enqueue immediately drained through the
-    guarded ``try_get_batch``, with the cohort's clock cost committed
-    as one ``try_advance_batch`` call every 64 ops — the exact
-    primitive sequence the monitor's fault path (DESIGN.md §17) issues
-    while a batch window is open.  Under a schedule policy the guarded
-    calls refuse and the plain ``try_get``/``sync_to`` stand in, so the
-    spread between the two runs is the batch layer's own contribution.
-    """
-    from ..sim.resources import Store
-
-    env = Environment()
-    store = Store(env)
-    put_nowait = store.put_nowait
-    try_get_batch = store.try_get_batch
-    try_get = store.try_get
-    try_advance_batch = env.try_advance_batch
-    sync_to = env.sync_to
-    clock = 0.0
-    cohort = 0
-    started = time.perf_counter()
-    for index in range(ops):
-        put_nowait(index)
-        item = try_get_batch()
-        if item is None:  # refused under a schedule policy
-            item = try_get()
-        clock += 0.05
-        cohort += 1
-        if cohort == 64:
-            if not try_advance_batch(clock):
-                sync_to(clock)
-            cohort = 0
-    if cohort and not try_advance_batch(clock):
-        sync_to(clock)
-    return ops / (time.perf_counter() - started)
 
 
 def bench_monitor(accesses: int = 30_000, seed: int = 42) -> float:
@@ -243,7 +196,7 @@ def run_suite(
     reps: Optional[int] = None,
     sizes: Optional[Dict[str, int]] = None,
 ) -> Dict[str, object]:
-    """Run all five benchmarks; returns the perfbench JSON document.
+    """Run all four benchmarks; returns the perfbench JSON document.
 
     ``reps`` overrides the per-benchmark best-of-N count (handy for
     tests); ``sizes`` overrides individual workload sizes.
@@ -258,10 +211,6 @@ def run_suite(
     engine = max(
         bench_engine(chosen["engine_events"], chosen["engine_procs"])
         for _ in range(repetitions["engine"])
-    )
-    burst = max(
-        bench_burst_resolve(chosen["burst_ops"])
-        for _ in range(repetitions["burst"])
     )
     monitor = max(
         bench_monitor(chosen["monitor_accesses"], seed=seed)
@@ -281,7 +230,6 @@ def run_suite(
         "seed": seed,
         "sizes": chosen,
         "engine_events_per_sec": engine,
-        "burst_resolve_ops_per_sec": burst,
         "monitor_ops_per_sec": monitor,
         "fig3_quick_seconds": fig3,
         "prefetcher_ops_per_sec": prefetcher,

@@ -398,7 +398,7 @@ class DetachedProcess(Process):
     it settles in place: no heap event, no sequence number.  Under any
     schedule policy, :class:`~repro.check.explorer.FifoSchedule`
     included, the completion is scheduled like any process's, so the
-    policy sees every decision it saw before (DESIGN.md §17).
+    policy sees every decision it saw before (DESIGN.md §12).
     """
 
     __slots__ = ()
@@ -727,47 +727,6 @@ class Environment:
             self._now = stop_time
         return None
 
-    def advance(self, delta: float) -> None:
-        """Advance the clock directly by ``delta`` µs.
-
-        Only legal when no event earlier than the new time exists,
-        otherwise causality would break; it raises then.  Only tests
-        call it: workload drivers and the fault paths settle their time
-        with :meth:`try_advance`, which falls back to a timeout instead
-        of raising.
-        """
-        if not delta >= 0:
-            raise SimulationError(f"cannot advance by delta {delta}")
-        target = self._now + delta
-        if self._heap and self._heap[0][0] < target:
-            raise SimulationError(
-                "advance() would jump over a scheduled event; "
-                "run() to that point instead"
-            )
-        self._now = target
-
-    def sync_to(self, time: float) -> None:
-        """Set the clock to the **absolute** time ``time`` (µs).
-
-        The fallback commit for a locally accumulated clock: when
-        :meth:`try_advance_batch` refuses, the monitor's fault path and
-        the perfbench burst loop jump to their in-order sum here, so the
-        clock lands on the same float.  Like :meth:`advance`, it is only
-        legal when the jump skips no scheduled event; going backwards is
-        never legal.
-        """
-        if not time >= self._now:
-            raise SimulationError(
-                f"sync_to({time}) would move the clock backwards "
-                f"from {self._now}"
-            )
-        if self._heap and self._heap[0][0] < time:
-            raise SimulationError(
-                "sync_to() would jump over a scheduled event; "
-                "run() to that point instead"
-            )
-        self._now = time
-
     def try_advance(self, delta: float) -> bool:
         """Bump the clock by ``delta`` iff it is provably equivalent to
         ``yield env.timeout(delta)`` for the calling process.
@@ -790,51 +749,6 @@ class Environment:
             return False
         cap = self._until_cap
         if cap is not None and target > cap:
-            return False
-        self._now = target
-        return True
-
-    def batch_window(self) -> bool:
-        """True iff a *batch window* is open: the engine can prove that
-        no other event could fire between now and any future clock
-        position reached by pure advances.
-
-        The window requires an **empty heap** (nothing at all is
-        scheduled, so no event can interleave at any future time), no
-        schedule-exploration policy and no ``run(until=<time>)`` cap.
-        Inside an open window a cohort of N operations may be resolved
-        in one pass — one clock advance for the summed cost — because
-        the per-operation timeouts it replaces provably could not have
-        let anything else run (DESIGN.md §17).  Callers must check the
-        window *before* consuming RNG draws for the cohort.
-        """
-        return (
-            self.scheduler is None
-            and not self._heap
-            and self._until_cap is None
-        )
-
-    def try_advance_batch(self, target: float) -> bool:
-        """Jump the clock to the **absolute** time ``target`` iff a
-        batch window is open (see :meth:`batch_window`).
-
-        This is the commit half of cohort resolution: the caller checks
-        :meth:`batch_window`, accumulates ``target`` from :attr:`now` by
-        adding each member's cost *in cohort order* (bit-identical to
-        the float sequence N per-member :meth:`try_advance` calls would
-        have produced — summing the costs first and adding once would
-        not be, float addition being non-associative), then commits
-        here.  The empty-heap window guarantees each per-member advance
-        would have succeeded, so the jump is provably equivalent.
-        Returns False (mutating nothing) when the window is closed or
-        ``target`` is in the past.
-        """
-        if (
-            self.scheduler is not None
-            or not target >= self._now
-            or self._heap
-            or self._until_cap is not None
-        ):
             return False
         self._now = target
         return True

@@ -205,31 +205,6 @@ class Store:
         self._dispatch()
         return item
 
-    def try_get_batch(self) -> Any:
-        """Guarded synchronous take for burst drains (DESIGN.md §17).
-
-        Returns the oldest item iff consuming it right now is provably
-        equivalent to ``yield self.get()``: no schedule-exploration
-        policy, no competing getters or blocked putters, an item
-        present, and no heap event due at the current time — under
-        those conditions the get's success event would have been the
-        very next thing to fire, so nothing else could have run in
-        between.  Returns ``None`` otherwise; the caller falls back to
-        ``yield self.get()``.
-        """
-        env = self.env
-        if (
-            env.scheduler is not None
-            or self._getters
-            or self._putters
-            or not self.items
-        ):
-            return None
-        heap = env._heap
-        if heap and heap[0][0] <= env._now:
-            return None
-        return self.items.popleft()
-
     def _dispatch(self) -> None:
         progress = True
         while progress:

@@ -409,9 +409,9 @@ class AccessDriver:
         if self._run_hits:
             self.port.note_hit_run(self._run_hits)
             self._run_hits = 0
+        self._hits_since_flush = 0
         if self._pending_us > 0.0:
             pending, self._pending_us = self._pending_us, 0.0
-            self._hits_since_flush = 0
             if not self.env.try_advance(pending):
                 yield self.env.timeout(pending)
                 return True

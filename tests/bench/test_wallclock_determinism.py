@@ -1,8 +1,8 @@
 """Determinism pins for the engine fast paths.
 
 The hot-path overhaul (clock bumps, Timeout pooling, inline resource
-grants) and the burst-resolution layer on top of it (batch-window
-cohorts, ``Store.try_get_batch``, DESIGN.md §17) are only allowed to
+grants, the single-getter ``put_nowait`` hand-off and the in-place
+settling of detached processes, DESIGN.md §12) is only allowed to
 change *wall-clock* speed.  Every one of those paths is gated on
 ``Environment.scheduler is None``, so the reference run installs
 :class:`~repro.check.explorer.FifoSchedule` — the engine's native
@@ -41,9 +41,9 @@ def test_metrics_byte_identical_with_fastpath_forced_off(
 def test_metrics_byte_identical_with_batch_forced_off(
     tmp_path, fifo_reference
 ):
-    """The batch-equivalence rule (DESIGN.md §17): batch-window
-    cohorts may not move a single byte of the seeded --metrics
-    document, fig3 through the policy-lab tournament."""
+    """The same rule over the policy-lab tournament (DESIGN.md §12):
+    its concurrent fault handlers, prefetchers and allocators may not
+    move a single byte of the seeded --metrics document either."""
     experiments = ("fig3", "table1", "tournament")
     fast = _metrics_bytes(tmp_path, "fast", experiments)
     with fifo_reference():

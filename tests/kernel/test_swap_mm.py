@@ -52,10 +52,10 @@ def test_swap_out_requires_swappable(env):
                  PageKind.UNEVICTABLE):
         page = Page(vaddr=0, kind=kind)
         with pytest.raises(SwapError):
-            run(env, swap.swap_out(page, table, frames))
+            run(env, swap.swap_out_batch([page], table, frames))
     locked = Page(vaddr=0, mlocked=True)
     with pytest.raises(SwapError):
-        run(env, swap.swap_out(locked, table, frames))
+        run(env, swap.swap_out_batch([locked], table, frames))
 
 
 def test_swap_out_in_roundtrip(env):
@@ -66,7 +66,7 @@ def test_swap_out_in_roundtrip(env):
     page = Page(vaddr=0x4000)
     table.map(0x4000, frame, page)
 
-    run(env, swap.swap_out(page, table, frames))
+    run(env, swap.swap_out_batch([page], table, frames))
     assert 0x4000 not in table
     assert swap.has_entry(0x4000)
     assert frames.free_frames == 16  # frame returned after writeback
@@ -93,7 +93,7 @@ def test_swap_cache_hit_during_writeback(env):
     results = {}
 
     def evictor(env):
-        yield from swap.swap_out(page, table, frames)
+        yield from swap.swap_out_batch([page], table, frames)
 
     def faulter(env):
         yield env.timeout(1.0)  # while the write is still in flight
@@ -122,14 +122,14 @@ def test_swap_device_fills_up(env):
             frame = frames.allocate()
             page = Page(vaddr=i * PAGE_SIZE)
             table.map(page.vaddr, frame, page)
-            yield from swap.swap_out(page, table, frames)
+            yield from swap.swap_out_batch([page], table, frames)
 
     run(env, fill(env))
     assert swap.slots.free_slots == 0
     overflow = Page(vaddr=0x7777000)
     table.map(overflow.vaddr, frames.allocate(), overflow)
     with pytest.raises(OutOfSwapError):
-        run(env, swap.swap_out(overflow, table, frames))
+        run(env, swap.swap_out_batch([overflow], table, frames))
 
 
 def test_swap_in_without_entry_rejected(env):
@@ -144,7 +144,7 @@ def test_drop_entry(env):
     frames = FrameAllocator(4)
     page = Page(vaddr=0)
     table.map(0, frames.allocate(), page)
-    run(env, swap.swap_out(page, table, frames))
+    run(env, swap.swap_out_batch([page], table, frames))
     swap.drop_entry(0)
     assert not swap.has_entry(0)
     with pytest.raises(SwapError):

@@ -4,7 +4,7 @@
 process that reports only through the handle's event.  With no
 scheduler installed the driver finishes without a heap event; under
 every schedule policy its completion is scheduled as before, so the
-policy's reference run does not change (DESIGN.md §17).
+policy's reference run does not change (DESIGN.md §12).
 """
 
 import pytest

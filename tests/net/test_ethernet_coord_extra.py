@@ -116,4 +116,4 @@ def test_environment_repr_and_negative_guard():
     env = Environment()
     assert "Environment" in repr(env)
     with pytest.raises(SimulationError):
-        env.advance(-0.5)
+        env.timeout(-0.5)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.perfbench import (
     PERFBENCH_SCHEMA,
-    bench_burst_resolve,
     bench_engine,
     compare,
     load_reference,
@@ -26,7 +25,6 @@ from repro.perfbench import cli as perfbench_cli
 TINY_SIZES = {
     "engine_events": 2_000,
     "engine_procs": 2,
-    "burst_ops": 2_000,
     "monitor_accesses": 200,
     "fig3_accesses": 60,
     "prefetcher_ops": 2_000,
@@ -40,7 +38,6 @@ def test_run_suite_document_shape():
     assert result["seed"] == 42
     assert result["sizes"]["engine_events"] == 2_000
     assert result["engine_events_per_sec"] > 0
-    assert result["burst_resolve_ops_per_sec"] > 0
     assert result["monitor_ops_per_sec"] > 0
     assert result["fig3_quick_seconds"] > 0
     assert result["prefetcher_ops_per_sec"] > 0
@@ -51,22 +48,13 @@ def test_bench_engine_rate_scales_with_events():
     assert rate > 0
 
 
-def test_bench_burst_resolve_runs_with_batch_on_and_off(fifo_reference):
-    assert bench_burst_resolve(ops=2_000) > 0
-    with fifo_reference():
-        # The guarded primitives refuse under a schedule policy and the
-        # plain fallbacks stand in; still a rate.
-        assert bench_burst_resolve(ops=2_000) > 0
-
-
 def _document(engine=1_000_000.0, monitor=15_000.0, fig3=1.0,
-              prefetcher=150_000.0, burst=900_000.0, **extra):
+              prefetcher=150_000.0, **extra):
     document = {
         "schema": PERFBENCH_SCHEMA,
         "mode": "quick",
         "seed": 42,
         "engine_events_per_sec": engine,
-        "burst_resolve_ops_per_sec": burst,
         "monitor_ops_per_sec": monitor,
         "fig3_quick_seconds": fig3,
         "prefetcher_ops_per_sec": prefetcher,
@@ -84,7 +72,6 @@ def test_compare_flags_rate_and_seconds_regressions():
     verdicts = {metric: ok for metric, _c, _r, _f, ok in rows}
     assert verdicts == {
         "engine_events_per_sec": False,  # 2.5x slower
-        "burst_resolve_ops_per_sec": True,
         "monitor_ops_per_sec": True,
         "fig3_quick_seconds": False,  # 2.5x slower
         "prefetcher_ops_per_sec": False,  # 2.5x slower
@@ -93,12 +80,12 @@ def test_compare_flags_rate_and_seconds_regressions():
 
 def test_compare_skips_but_missing_metrics_reports():
     baseline = _document()
-    del baseline["burst_resolve_ops_per_sec"]  # pre-burst-bench baseline
+    del baseline["prefetcher_ops_per_sec"]  # pre-prefetcher baseline
     current = _document()
     compared = {metric for metric, *_rest in compare(current, baseline, 2.0)}
-    assert "burst_resolve_ops_per_sec" not in compared
+    assert "prefetcher_ops_per_sec" not in compared
     assert missing_metrics(current, baseline) == [
-        ("burst_resolve_ops_per_sec", "baseline")
+        ("prefetcher_ops_per_sec", "baseline")
     ]
     # And the other direction: the current run lacks a baseline metric.
     partial = _document()
@@ -187,12 +174,12 @@ def test_cli_compare_passes_against_equal_baseline(canned_suite, tmp_path):
 
 def test_cli_compare_reports_baseline_missing_metric(canned_suite, tmp_path):
     baseline = _document()
-    del baseline["burst_resolve_ops_per_sec"]
+    del baseline["prefetcher_ops_per_sec"]
     path = tmp_path / "base.json"
     path.write_text(json.dumps(baseline))
     code, text = _run_cli(["--quick", "--compare", str(path)])
     assert code == 0
-    assert "burst_resolve_ops_per_sec" in text
+    assert "prefetcher_ops_per_sec" in text
     assert "missing from baseline" in text
 
 

@@ -57,10 +57,10 @@ def test_web_diurnal_matches_committed_baseline(tmp_path):
 def test_web_diurnal_batch_off_matches_committed_baseline(
     tmp_path, fifo_reference
 ):
-    """The burst layer may not move a scenario report either: in the
-    reference run (``FifoSchedule`` on every ``Environment``, every fast
-    path off) the quick seed-42 run must still reproduce the committed
-    baseline byte-for-byte (DESIGN.md §17)."""
+    """The engine fast paths may not move a scenario report either: in
+    the reference run (``FifoSchedule`` on every ``Environment``, every
+    fast path off) the quick seed-42 run must still reproduce the
+    committed baseline byte-for-byte (DESIGN.md §12)."""
     with fifo_reference():
         report, _ = _run_report(tmp_path, "fifo", "web-diurnal")
     with open(BASELINE, "rb") as handle:

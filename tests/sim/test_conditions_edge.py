@@ -132,5 +132,9 @@ def test_store_many_getters_fifo_service():
 def test_peek_and_advance_interplay():
     env = Environment()
     env.timeout(10.0)
-    env.advance(10.0)  # exactly up to the event is allowed
-    assert env.now == 10.0
+    # The event due at 10.0 would fire first, so no bump to it.
+    assert not env.try_advance(10.0)
+    assert env.now == 0.0
+    assert env.try_advance(9.5)
+    assert env.now == 9.5
+    assert env.peek() == 10.0

@@ -90,16 +90,6 @@ def test_run_until_nan_rejected():
     assert env.peek() == 10.0
 
 
-def test_advance_and_clock_jumps_refuse_nan():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.advance(NAN)
-    with pytest.raises(SimulationError):
-        env.sync_to(NAN)
-    assert not env.try_advance_batch(NAN)
-    assert env.now == 0.0
-
-
 def test_process_return_value():
     env = Environment()
 
@@ -412,25 +402,6 @@ def test_all_of_empty_fires_immediately():
     env.process(proc(env))
     env.run()
     assert results == [0.0]
-
-
-def test_advance_moves_clock():
-    env = Environment()
-    env.advance(12.5)
-    assert env.now == 12.5
-
-
-def test_advance_cannot_jump_scheduled_event():
-    env = Environment()
-    env.timeout(5.0)
-    with pytest.raises(SimulationError):
-        env.advance(10.0)
-
-
-def test_advance_negative_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.advance(-1.0)
 
 
 def test_peek_reports_next_event_time():

@@ -268,3 +268,38 @@ def test_put_nowait_rejects_bounded_stores(env):
     store = Store(env, capacity=2)
     with pytest.raises(SimulationError, match="unbounded"):
         store.put_nowait("item")
+
+
+def test_put_nowait_serves_single_waiting_getter(env):
+    store = Store(env)
+    received = []
+
+    def consumer():
+        item = yield store.get()
+        received.append(item)
+
+    env.process(consumer())
+    env.run()  # parks the consumer on the empty store
+    store.put_nowait("payload")
+    env.run()
+    assert received == ["payload"]
+    assert not store.items
+
+
+def test_put_nowait_hand_off_matches_general_dispatch(env):
+    """Two getters (the non-fast shape) drain in FIFO order, same as
+    the single-getter hand-off would chain."""
+    store = Store(env)
+    received = []
+
+    def consumer(tag):
+        item = yield store.get()
+        received.append((tag, item))
+
+    env.process(consumer("first"))
+    env.process(consumer("second"))
+    env.run()
+    store.put_nowait(1)
+    store.put_nowait(2)
+    env.run()
+    assert received == [("first", 1), ("second", 2)]

@@ -71,6 +71,29 @@ def test_pending_hit_time_is_the_in_order_sum(fluid_world, cost,
         pending += cost
 
 
+@pytest.mark.parametrize("cost", [0.0, 0.15])
+def test_flush_resets_the_hit_count_whatever_the_hit_cost(fluid_world,
+                                                          cost):
+    """A flush closes the hit window even with no hit time to settle:
+    after a fault, ten hits at ``flush_every=4`` are two full windows
+    plus two pending hits, at a zero hit cost as at a positive one."""
+    world = fluid_world
+    driver = AccessDriver(world.env, world.port, hit_cost_us=cost,
+                          flush_every=4)
+    runs = []
+    world.port.note_hit_run = runs.append
+
+    def gen(env):
+        yield from driver.access(world.base_addr, is_write=True)  # fault
+        for _ in range(10):
+            yield from driver.access(world.base_addr)
+
+    world.run(gen(world.env))
+    assert (driver.faults, driver.hits) == (1, 10)
+    assert runs == [4, 4]
+    assert driver._hits_since_flush == 2
+
+
 # ----------------------------------------------------------------- Pmbench
 
 def test_pmbench_config_validation():
