@@ -60,9 +60,9 @@ EXPERIMENT_DESCRIPTIONS = {
                "crash recovery time",
     "market": "Multi-tenant memory marketplace: fleet-scale harvest/"
               "lease with per-tenant SLOs and an audited broker",
-    "tournament": "Policy tournament: every alloc x prefetch x "
-                  "handler-count combo raced over pmbench/graph500/"
-                  "market workloads, ranked by fault p99",
+    "tournament": "Policy tournament: every prefetch x handler-count "
+                  "combo raced over pmbench/graph500/market workloads, "
+                  "ranked by fault p99",
 }
 
 EXPERIMENTS = ("fig3", "table1", "table2", "fig4", "fig5", "table3",
@@ -290,7 +290,7 @@ def _run_one(name: str, args) -> None:
         )
         _maybe_csv(args.csv, "tournament",
                    ("rank", "combo", "mean_p99_us", "mean_p50_us",
-                    "faults", "prefetch_hit_pct", "frame_occupancy"),
+                    "faults", "prefetch_hit_pct"),
                    result.rows())
     elif name == "ablations":
         for ablation in run_all_ablations(seed=seed).values():

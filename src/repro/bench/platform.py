@@ -309,7 +309,6 @@ def build_platform(
     remote_factor: int = 4,
     faults: Optional[str] = None,
     obs: Optional[Observability] = None,
-    store_wrapper=None,
 ) -> Platform:
     """Build one of the six named configurations.
 
@@ -328,11 +327,6 @@ def build_platform(
     store wrappers.  When None, the process-wide default from
     :func:`set_default_observability` applies (disabled by default,
     so unobserved builds pay only cheap ``enabled`` checks).
-
-    ``store_wrapper`` (FluidMem platforms only) is called with the
-    built store and must return the store to register — the policy
-    tournament uses it to interpose :class:`~repro.kv.SlotTrackedStore`
-    for remote-slot fragmentation accounting.
     """
     if name not in PLATFORM_NAMES:
         raise BenchError(
@@ -359,7 +353,6 @@ def build_platform(
         return _build_fluidmem(
             name, env, streams, fabric, shape, profile, data_disk,
             fluidmem_config, boot, faults=faults, seed=seed, obs=obs,
-            store_wrapper=store_wrapper,
         )
     return _build_swap(
         name, env, streams, fabric, shape, profile, data_disk, boot,
@@ -405,20 +398,10 @@ def _build_fluidmem(
     faults: Optional[str] = None,
     seed: int = 42,
     obs: Observability = NULL_OBS,
-    store_wrapper=None,
 ) -> Platform:
-    from ..policy.registry import make_alloc_policy
-
     uffd = Userfaultfd(env, UffdLatency(), streams.stream("uffd"))
     # Host DRAM: local budget + generous headroom for monitor buffers.
-    # The frame pool placement policy follows the monitor's configured
-    # allocation policy ("lifo" keeps the historical free stack).
-    frame_policy = make_alloc_policy(
-        (config or FluidMemConfig()).alloc_policy
-    )
-    host_frames = FrameAllocator(
-        shape.local_pages * 4 + 4096, policy=frame_policy
-    )
+    host_frames = FrameAllocator(shape.local_pages * 4 + 4096)
     ops = UffdOps(env, UffdLatency(), streams.stream("ops"), host_frames)
     if config is None:
         config = FluidMemConfig(lru_capacity_pages=shape.local_pages)
@@ -442,8 +425,6 @@ def _build_fluidmem(
         )
     else:
         store = _make_store(name, env, fabric, shape)
-    if store_wrapper is not None:
-        store = store_wrapper(store)
     registration = monitor.register_vm(qemu, store)
     hotplug = MemoryHotplug(qemu)
     slot = hotplug.add_memory(shape.remote_bytes)

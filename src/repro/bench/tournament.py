@@ -1,9 +1,10 @@
-"""Policy tournament: race every (allocation x prefetch x handlers)
-combo across three workloads and rank them.
+"""Policy tournament: race every (prefetch x handlers) combo across
+three workloads and rank them.
 
 The policy lab (``repro.policy``) makes the memory-management brain
 pluggable; this experiment is the harness that decides which brain to
-ship.  Every combo runs the same three workloads:
+ship.  Quick and full mode race the same combos; only the workload
+sizes differ.  Every combo runs the same three workloads:
 
 * **pmbench** — uniform-random accesses against ``fluidmem-dram``
   (Figure 3's microbenchmark; punishes wasteful prefetch).
@@ -32,16 +33,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core import FluidMemConfig, FluidMemoryPort, Monitor
 from ..kernel import UffdLatency, UffdOps, Userfaultfd
-from ..kv import DramStore, SlotTrackedStore
+from ..kv import DramStore
 from ..mem import PAGE_SIZE, FrameAllocator
 from ..obs import NULL_OBS
 from ..parallel import run_tasks
-from ..policy.registry import (
-    ALLOCATION_POLICIES,
-    PREFETCH_POLICIES,
-    PolicyCombo,
-    make_alloc_policy,
-)
+from ..policy.registry import PREFETCH_POLICIES, PolicyCombo
 from ..sim import Environment, RandomStreams
 from ..vm import GuestVM, QemuProcess
 from ..workloads import Graph500, Graph500Config, KroneckerGraph, \
@@ -53,8 +49,6 @@ from .reporting import render_table
 
 __all__ = [
     "TOURNAMENT_WORKLOADS",
-    "QUICK_ALLOCS",
-    "FULL_ALLOCS",
     "HANDLER_COUNTS",
     "TournamentResult",
     "run_tournament_cell",
@@ -63,64 +57,31 @@ __all__ = [
 
 TOURNAMENT_WORKLOADS = ("pmbench", "graph500", "market")
 
-#: Quick mode races the two structurally extreme allocators; full mode
-#: races all four registered ones.
-QUICK_ALLOCS = ("lifo", "buddy")
-FULL_ALLOCS = tuple(sorted(ALLOCATION_POLICIES))
 HANDLER_COUNTS = (1, 4)
 
-#: Remote-store slots the fragmentation wrapper accounts (pages).
-SLOT_TRACK_SLOTS = 8192
 
-
-def _cell_config(alloc: str, prefetch: str,
-                 handlers: int) -> FluidMemConfig:
+def _cell_config(prefetch: str, handlers: int) -> FluidMemConfig:
     return FluidMemConfig(
-        alloc_policy=alloc,
         prefetch_policy=prefetch,
         prefetch_pages=0 if prefetch == "none" else 4,
         fault_handlers=handlers,
     )
 
 
-def _slot_wrapper(alloc: str):
-    """A ``build_platform`` store_wrapper interposing slot tracking."""
-    holder: List[SlotTrackedStore] = []
-
-    def wrap(store):
-        tracked = SlotTrackedStore(
-            store, ALLOCATION_POLICIES[alloc](), SLOT_TRACK_SLOTS
-        )
-        holder.append(tracked)
-        return tracked
-
-    return wrap, holder
-
-
 def _collect(
     payload: Dict[str, object],
     monitor: Monitor,
-    frames: FrameAllocator,
-    slot_stores: Sequence[SlotTrackedStore],
     sim_time_us: float,
 ) -> Dict[str, object]:
     combo = PolicyCombo(
-        alloc=payload["alloc"],  # type: ignore[arg-type]
         prefetch=payload["prefetch"],  # type: ignore[arg-type]
         handlers=payload["handlers"],  # type: ignore[arg-type]
     )
     counters = monitor.counters.as_dict()
     recorder = monitor.fault_latency
-    frag = frames.fragmentation()
-    slot_frags = [store.fragmentation() for store in slot_stores]
-    slot_occ = (
-        round(sum(f["occupancy"] for f in slot_frags) / len(slot_frags), 4)
-        if slot_frags else 1.0
-    )
     return {
         "workload": payload["workload"],
         "combo": combo.label,
-        "alloc": combo.alloc,
         "prefetch": combo.prefetch,
         "handlers": combo.handlers,
         "faults": counters.get("faults", 0),
@@ -132,10 +93,6 @@ def _collect(
         "prefetches_issued": counters.get("prefetches_issued", 0),
         "prefetch_hits": counters.get("prefetch_hits", 0),
         "prefetches_wasted": counters.get("prefetches_wasted", 0),
-        "frame_occupancy": frag["occupancy"],
-        "frame_runs": frag["allocated_runs"],
-        "slot_occupancy": slot_occ,
-        "slot_overflows": sum(f["slot_overflows"] for f in slot_frags),
         "sim_time_us": round(sim_time_us, 3),
     }
 
@@ -143,10 +100,7 @@ def _collect(
 def _run_pmbench_cell(payload: Dict[str, object]) -> Dict[str, object]:
     quick = payload["quick"]
     seed = payload["seed"]
-    config = _cell_config(
-        payload["alloc"], payload["prefetch"], payload["handlers"]
-    )
-    wrapper, tracked = _slot_wrapper(payload["alloc"])
+    config = _cell_config(payload["prefetch"], payload["handlers"])
     platform = build_platform(
         "fluidmem-dram",
         memory_scale=1.0 / 1024,
@@ -154,7 +108,6 @@ def _run_pmbench_cell(payload: Dict[str, object]) -> Dict[str, object]:
         fluidmem_config=config,
         faults=payload["faults"],
         obs=NULL_OBS,
-        store_wrapper=wrapper,
     )
     bench = Pmbench(
         platform.env,
@@ -168,22 +121,16 @@ def _run_pmbench_cell(payload: Dict[str, object]) -> Dict[str, object]:
         rng=platform.streams.stream("pmbench"),
     )
     platform.run(bench.run())
-    return _collect(
-        payload, platform.monitor, platform.monitor.ops.frames,
-        tracked, platform.env.now,
-    )
+    return _collect(payload, platform.monitor, platform.env.now)
 
 
 def _run_graph500_cell(payload: Dict[str, object]) -> Dict[str, object]:
     quick = payload["quick"]
     seed = payload["seed"]
-    config = _cell_config(
-        payload["alloc"], payload["prefetch"], payload["handlers"]
-    )
+    config = _cell_config(payload["prefetch"], payload["handlers"])
     scale = 8 if quick else 10
     edgefactor = 8 if quick else 16
     graph = KroneckerGraph(scale, edgefactor, seed=seed)
-    wrapper, tracked = _slot_wrapper(payload["alloc"])
     platform = build_platform(
         "fluidmem-dram",
         memory_scale=memory_scale_for(graph, 1.2),
@@ -191,7 +138,6 @@ def _run_graph500_cell(payload: Dict[str, object]) -> Dict[str, object]:
         fluidmem_config=config,
         faults=payload["faults"],
         obs=NULL_OBS,
-        store_wrapper=wrapper,
     )
     bench = Graph500(
         platform.env,
@@ -206,10 +152,7 @@ def _run_graph500_cell(payload: Dict[str, object]) -> Dict[str, object]:
         graph=graph,
     )
     platform.run(bench.run())
-    return _collect(
-        payload, platform.monitor, platform.monitor.ops.frames,
-        tracked, platform.env.now,
-    )
+    return _collect(payload, platform.monitor, platform.env.now)
 
 
 def _tenant(env, port, base: int, pattern, accesses: int):
@@ -231,9 +174,7 @@ def _run_market_cell(payload: Dict[str, object]) -> Dict[str, object]:
     """
     quick = payload["quick"]
     seed = payload["seed"]
-    config = _cell_config(
-        payload["alloc"], payload["prefetch"], payload["handlers"]
-    )
+    config = _cell_config(payload["prefetch"], payload["handlers"])
     accesses = 300 if quick else 2500
     wss = 192 if quick else 384
     lru_cap = 96 if quick else 128
@@ -241,9 +182,7 @@ def _run_market_cell(payload: Dict[str, object]) -> Dict[str, object]:
     env = Environment()
     streams = RandomStreams(seed=seed)
     uffd = Userfaultfd(env, UffdLatency(), streams.stream("uffd"))
-    frames = FrameAllocator(
-        16384, policy=make_alloc_policy(config.alloc_policy)
-    )
+    frames = FrameAllocator(16384)
     ops = UffdOps(env, UffdLatency(), streams.stream("ops"), frames)
     monitor = Monitor(
         env, uffd, ops,
@@ -264,27 +203,22 @@ def _run_market_cell(payload: Dict[str, object]) -> Dict[str, object]:
         # Uniform mixer.
         lambda i: (mix_rng.randrange(wss), i % 2 == 0),
     )
-    tracked: List[SlotTrackedStore] = []
     processes = []
     for index, pattern in enumerate(patterns):
         vm = GuestVM(
             env, f"tenant{index}", memory_bytes=2 * wss * PAGE_SIZE
         )
         qemu = QemuProcess(vm)
-        store = SlotTrackedStore(
-            DramStore(env),
-            ALLOCATION_POLICIES[payload["alloc"]](),
-            SLOT_TRACK_SLOTS,
+        registration = monitor.register_vm(
+            qemu, DramStore(env), partition=index
         )
-        tracked.append(store)
-        registration = monitor.register_vm(qemu, store, partition=index)
         port = FluidMemoryPort(env, vm, qemu, monitor, registration)
         vm.attach_port(port)
         processes.append(
             env.process(_tenant(env, port, 0, pattern, accesses))
         )
     env.run()
-    return _collect(payload, monitor, frames, tracked, env.now)
+    return _collect(payload, monitor, env.now)
 
 
 _CELL_RUNNERS = {
@@ -324,17 +258,16 @@ class TournamentResult:
                 entry["mean_p50_us"],
                 entry["faults"],
                 entry["prefetch_hit_pct"],
-                entry["frame_occupancy"],
             ))
         return out
 
     def table_text(self) -> str:
         return render_table(
             ("rank", "combo", "mean p99 us", "mean p50 us", "faults",
-             "pf hit %", "frame occ"),
+             "pf hit %"),
             self.rows(),
-            title="Policy tournament: alloc+prefetch+handlers, ranked "
-                  "by mean fault p99",
+            title="Policy tournament: prefetch+handlers, ranked by mean "
+                  "fault p99",
         )
 
 
@@ -358,9 +291,6 @@ def _rank(cells: List[Dict[str, object]]) -> List[Dict[str, object]]:
             "faults": sum(c["faults"] for c in group),
             "prefetch_hit_pct": round(100.0 * hits / issued, 1)
             if issued else 0.0,
-            "frame_occupancy": round(
-                sum(c["frame_occupancy"] for c in group) / count, 4
-            ),
         })
     entries.sort(
         key=lambda e: (e["mean_p99_us"], e["mean_p50_us"], e["combo"])
@@ -378,7 +308,6 @@ def run_tournament(
     workloads: Optional[Sequence[str]] = None,
 ) -> TournamentResult:
     """Race every policy combo; byte-identical at any ``workers``."""
-    allocs = QUICK_ALLOCS if quick else FULL_ALLOCS
     if faults is None:
         # Capture the CLI's ambient plan here, in the parent, so
         # worker processes (which never see the ambient default) build
@@ -387,7 +316,6 @@ def run_tournament(
     chosen = tuple(workloads) if workloads else TOURNAMENT_WORKLOADS
     payloads = [
         {
-            "alloc": alloc,
             "prefetch": prefetch,
             "handlers": handlers,
             "workload": workload,
@@ -395,7 +323,6 @@ def run_tournament(
             "seed": seed,
             "faults": faults,
         }
-        for alloc in allocs
         for prefetch in PREFETCH_POLICIES
         for handlers in HANDLER_COUNTS
         for workload in chosen
@@ -424,9 +351,6 @@ def run_tournament(
             )
             registry.gauge("tournament_p99_us", **labels).set(
                 cell["p99_us"]
-            )
-            registry.gauge("tournament_slot_occupancy", **labels).set(
-                cell["slot_occupancy"]
             )
         for entry in ranking:
             registry.gauge(

@@ -80,12 +80,6 @@ class FluidMemConfig:
     #: ``"sequential"`` (the original next-N scheme), ``"leap"``
     #: (majority-trend window detection), or ``"none"``.
     prefetch_policy: str = "sequential"
-    #: Allocation policy for host frames and the monitor's eviction
-    #: buffer (:mod:`repro.policy.alloc`): ``"lifo"`` (the shipped
-    #: free-stack behaviour), ``"first-fit"``, ``"buddy"``, or
-    #: ``"arena"``.  Name validation happens at monitor build time so
-    #: this module stays import-light.
-    alloc_policy: str = "lifo"
     #: Lightweight fault-handler coroutines (arXiv 2107.13848): 1 is
     #: the paper's single-threaded monitor loop; N > 1 lets faults
     #: from different vCPUs overlap behind a semaphore of N slots.

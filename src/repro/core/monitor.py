@@ -39,7 +39,7 @@ from ..kv import KeyValueBackend, PartitionedKeyCodec
 from ..mem import PAGE_SIZE, MemoryRegion, Page, PageTable
 from ..obs import NULL_OBS, Observability
 from ..policy.prefetch import resolve_prefetcher
-from ..policy.registry import make_alloc_policy, validate_policy_names
+from ..policy.registry import validate_policy_names
 from ..sim import Environment, LatencyRecorder, Resource
 from ..vm import QemuProcess
 from .config import FluidMemConfig
@@ -169,9 +169,7 @@ class Monitor:
         self._h_evict_latency = None
         self._h_path_latency: Dict[str, object] = {}
 
-        validate_policy_names(
-            self.config.alloc_policy, self.config.prefetch_policy
-        )
+        validate_policy_names(self.config.prefetch_policy)
         #: Candidate generator for the async prefetch extension; None
         #: when prefetching is off (the shipped default) so the fault
         #: hot path pays one identity check.
@@ -181,21 +179,10 @@ class Monitor:
         #: (id(registration), addr) installed by prefetch and not yet
         #: touched — the accuracy ledger (hit vs wasted).
         self._prefetched_addrs = set()
-        #: Eviction-buffer slot placement.  None (the "lifo" default)
-        #: keeps the historical monotonically growing buffer space;
-        #: a policy recycles slots freed by completed write-backs.
-        self._buffer_policy = make_alloc_policy(self.config.alloc_policy)
-        self._buffer_slot_count = 16384
 
         self.buffer_table = PageTable(f"{name}-buffer")
-        if self._buffer_policy is not None:
-            self._buffer_policy.bind(self._buffer_slot_count)
-            # Overflow region starts past the policy-managed slots.
-            self._buffer_next = (
-                BUFFER_BASE + self._buffer_slot_count * PAGE_SIZE
-            )
-        else:
-            self._buffer_next = BUFFER_BASE
+        #: Next eviction-buffer address; the buffer space only grows.
+        self._buffer_next = BUFFER_BASE
         self.writeback = WritebackQueue(
             env,
             self.buffer_table,
@@ -208,10 +195,6 @@ class Monitor:
             obs=self.obs,
             owner=name,
             check=self.check,
-            slot_free=(
-                self._release_buffer_slot
-                if self._buffer_policy is not None else None
-            ),
         )
 
         self._by_handle: Dict[UffdRegion, VmRegistration] = {}
@@ -714,7 +697,6 @@ class Monitor:
                 self.check.pages.on_evicted(key, durable=True)
             pte = self.buffer_table.unmap(buffer_vaddr)
             self.ops.frames.free(pte.frame)
-            self._release_buffer_slot(buffer_vaddr)
             pushed += 1
         registration.active = False
         for handle in registration.handles:
@@ -823,31 +805,17 @@ class Monitor:
             self.counters.incr("pages_given_back", by=returned)
         return returned
 
-    # -- eviction-buffer slot placement -----------------------------------------
+    # -- eviction buffer --------------------------------------------------------
 
     def _take_buffer_slot(self) -> int:
-        """Pick the buffer vaddr for the next evicted page.
+        """The buffer vaddr for the next evicted page: a fresh one.
 
-        With a policy, slots freed by completed write-backs are
-        recycled; exhaustion falls through to the historical
-        monotonic overflow region (and is counted).
+        Buffer addresses are never reused; the frame behind each one
+        goes back to the host pool once its page is durable.
         """
-        if self._buffer_policy is not None:
-            slot = self._buffer_policy.take()
-            if slot is not None:
-                return BUFFER_BASE + slot * PAGE_SIZE
-            self.counters.incr("buffer_slot_overflows")
         vaddr = self._buffer_next
         self._buffer_next += PAGE_SIZE
         return vaddr
-
-    def _release_buffer_slot(self, buffer_vaddr: int) -> None:
-        """Recycle a policy-managed slot (overflow vaddrs are not)."""
-        if self._buffer_policy is None:
-            return
-        slot = (buffer_vaddr - BUFFER_BASE) // PAGE_SIZE
-        if 0 <= slot < self._buffer_slot_count:
-            self._buffer_policy.give(slot)
 
     # -- resilience (retry / quarantine) ------------------------------------
 
@@ -1339,7 +1307,6 @@ class Monitor:
                     ph.record(env._now - issued_at)
                 pte = buffer_table.unmap(buffer_vaddr)
                 ops.frames.free(pte.frame)
-                self._release_buffer_slot(buffer_vaddr)
             if self._obs_on:
                 hist = self._h_evict_latency
                 if hist is None:
@@ -1394,7 +1361,6 @@ class Monitor:
             "prefetch_policy": (
                 "none" if self.prefetcher is None else self.prefetcher.name
             ),
-            "frame_fragmentation": self.ops.frames.fragmentation(),
             "counters": self.counters.as_dict(),
         }
         if self.fault_latency.count:

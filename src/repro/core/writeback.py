@@ -93,7 +93,6 @@ class WritebackQueue:
         obs: Optional[Observability] = None,
         owner: str = "monitor",
         check: Optional[CorrectnessChecker] = None,
-        slot_free=None,
     ) -> None:
         if batch_pages < 1:
             raise FluidMemError(f"batch must be >= 1, got {batch_pages}")
@@ -111,9 +110,6 @@ class WritebackQueue:
         self.obs = obs if obs is not None else NULL_OBS
         self.owner = owner
         self.check = check if check is not None else NULL_CHECKER
-        #: Optional callback invoked with each buffer vaddr once its
-        #: frame is released (the monitor's buffer-slot recycler).
-        self._slot_free = slot_free
         self._pending: "OrderedDict[int, WritebackEntry]" = OrderedDict()
         self._in_flight: Dict[int, Tuple[WritebackEntry, Event]] = {}
         # A token channel so kicks raised before the flusher arms its
@@ -249,8 +245,6 @@ class WritebackQueue:
         for entry in batch:
             pte = self.buffer_table.unmap(entry.buffer_vaddr)
             self.frames.free(pte.frame)
-            if self._slot_free is not None:
-                self._slot_free(entry.buffer_vaddr)
         counters = self.counters
         counters["flushed"] += len(batch)
         counters["batches"] += 1

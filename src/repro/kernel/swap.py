@@ -121,7 +121,8 @@ class SwapSubsystem:
         anonymous = PageKind.ANONYMOUS
         for page in pages:
             vaddr = page.vaddr
-            # Page.evictable_by_swap, inline: anonymous, not mlocked.
+            # Linux swap moves only anonymous pages that are not
+            # mlocked (paper §II).
             if page.kind is not anonymous or page.mlocked:
                 raise SwapError(
                     f"{page!r} ({page.kind.value}) cannot be swapped out"

@@ -14,14 +14,12 @@ from .wrappers import (
     CompressedStore,
     CompressionModel,
     ReplicatedStore,
-    SlotTrackedStore,
 )
 
 __all__ = [
     "CompressedStore",
     "CompressionModel",
     "ReplicatedStore",
-    "SlotTrackedStore",
     "KeyValueBackend",
     "ReadHandle",
     "WriteHandle",

@@ -28,7 +28,6 @@ __all__ = [
     "CompressionModel",
     "CompressedStore",
     "ReplicatedStore",
-    "SlotTrackedStore",
 ]
 
 
@@ -130,124 +129,6 @@ class CompressedStore(KeyValueBackend):
     @property
     def used_bytes(self) -> int:
         return self.inner.used_bytes
-
-
-class SlotTrackedStore(KeyValueBackend):
-    """Remote-slab placement tracking in front of any backend.
-
-    The inner backend stores pages by key; this wrapper additionally
-    assigns each live key a *slot* in a fixed remote slab via an
-    :class:`repro.policy.AllocationPolicy`, freeing the slot on
-    remove.  Slots are pure bookkeeping — no latency is charged and no
-    data moves — but they make remote-memory fragmentation measurable:
-    a provider compacting or reclaiming remote segments cares exactly
-    about how the policy scatters live pages across the slab.
-
-    Keys beyond ``total_slots`` still store fine (counted in
-    ``slot_overflows``); the slab models the *managed* region, not a
-    hard capacity.
-    """
-
-    def __init__(
-        self,
-        inner: KeyValueBackend,
-        policy,
-        total_slots: int,
-    ) -> None:
-        super().__init__(inner.env)
-        self.inner = inner
-        self.policy = policy
-        self.total_slots = total_slots
-        self.name = f"slotted-{inner.name}"
-        self.supports_partitions = inner.supports_partitions
-        policy.bind(total_slots)
-        self._slots: dict = {}
-        self._live: Set[int] = set()
-        self.slot_overflows = 0
-
-    def _assign(self, key: int) -> None:
-        if key in self._slots:
-            return  # overwrite reuses the key's existing slot
-        slot = self.policy.take()
-        if slot is None:
-            self.slot_overflows += 1
-            return
-        self._slots[key] = slot
-        self._live.add(slot)
-
-    def _release(self, key: int) -> None:
-        slot = self._slots.pop(key, None)
-        if slot is not None:
-            self._live.discard(slot)
-            self.policy.give(slot)
-
-    def put(self, key: int, value: Any, nbytes: int = PAGE_SIZE) -> Generator:
-        self._assign(key)
-        yield from self.inner.put(key, value, nbytes)
-
-    def multi_write(self, items: List[WriteItem]) -> Generator:
-        for key, _value, _nbytes in items:
-            self._assign(key)
-        yield from self.inner.multi_write(list(items))
-
-    def get(self, key: int) -> Generator:
-        value = yield from self.inner.get(key)
-        return value
-
-    def multi_read(self, keys: List[int]) -> Generator:
-        values = yield from self.inner.multi_read(list(keys))
-        return values
-
-    def read_async(self, key: int):
-        return self.inner.read_async(key)
-
-    def write_async(self, items: List[WriteItem]):
-        for key, _value, _nbytes in items:
-            self._assign(key)
-        return self.inner.write_async(list(items))
-
-    def remove(self, key: int) -> Generator:
-        yield from self.inner.remove(key)
-        self._release(key)
-
-    def contains(self, key: int) -> bool:
-        return self.inner.contains(key)
-
-    def stored_keys(self) -> int:
-        return self.inner.stored_keys()
-
-    @property
-    def is_alive(self) -> bool:
-        return self.inner.is_alive
-
-    @property
-    def used_bytes(self) -> int:
-        return self.inner.used_bytes
-
-    def fragmentation(self) -> dict:
-        """Slab fragmentation of the live slot set (same ruler as
-        :meth:`repro.mem.FrameAllocator.fragmentation`)."""
-        used = len(self._live)
-        out = {
-            "policy": self.policy.name,
-            "used_slots": used,
-            "span_slots": 0,
-            "occupancy": 1.0,
-            "allocated_runs": 0,
-            "slot_overflows": self.slot_overflows,
-        }
-        if used == 0:
-            return out
-        ordered = sorted(self._live)
-        span = ordered[-1] - ordered[0] + 1
-        runs = 1 + sum(
-            1 for lower, upper in zip(ordered, ordered[1:])
-            if upper != lower + 1
-        )
-        out["span_slots"] = span
-        out["occupancy"] = round(used / span, 4)
-        out["allocated_runs"] = runs
-        return out
 
 
 class ReplicatedStore(KeyValueBackend):

@@ -9,7 +9,7 @@ byte arrays.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from ..errors import OutOfFramesError
 from .addr import PAGE_SIZE
@@ -20,23 +20,20 @@ __all__ = ["FrameAllocator"]
 class FrameAllocator:
     """Fixed pool of physical frames with O(1) allocate/free.
 
-    By default frames are recycled LIFO so long-running simulations
-    keep the live handle set dense.  Pass ``policy`` (a
-    :class:`repro.policy.AllocationPolicy`) to delegate *which* free
-    frame is handed out next — the default ``None`` keeps the built-in
-    free stack, byte-identical to the historical behaviour.
+    Frames are recycled LIFO: a free pushes the frame on a stack and
+    an allocation pops the most recently freed one, else takes the
+    lowest never-used frame.  Every grant is one 4 KB page and no
+    modelled latency reads a frame number, so this one placement
+    serves every experiment.
     """
 
-    def __init__(self, total_frames: int, policy=None) -> None:
+    def __init__(self, total_frames: int) -> None:
         if total_frames <= 0:
             raise ValueError(f"total_frames must be > 0, got {total_frames}")
         self.total_frames = total_frames
         self._next_unused = 0
         self._free_stack: List[int] = []
         self._allocated: Set[int] = set()
-        self._policy = policy
-        if policy is not None:
-            policy.bind(total_frames)
 
     @classmethod
     def for_bytes(cls, nbytes: int) -> "FrameAllocator":
@@ -59,13 +56,7 @@ class FrameAllocator:
 
     def allocate(self) -> int:
         """Take a free frame; raises :class:`OutOfFramesError` when full."""
-        if self._policy is not None:
-            frame = self._policy.take()
-            if frame is None:
-                raise OutOfFramesError(
-                    f"all {self.total_frames} frames are allocated"
-                )
-        elif self._free_stack:
+        if self._free_stack:
             frame = self._free_stack.pop()
         elif self._next_unused < self.total_frames:
             frame = self._next_unused
@@ -92,10 +83,7 @@ class FrameAllocator:
             raise OutOfFramesError(
                 f"frame {frame} is not currently allocated"
             ) from None
-        if self._policy is not None:
-            self._policy.give(frame)
-        else:
-            self._free_stack.append(frame)
+        self._free_stack.append(frame)
 
     def is_allocated(self, frame: int) -> bool:
         return frame in self._allocated
@@ -103,43 +91,6 @@ class FrameAllocator:
     def allocated_frames(self) -> Iterator[int]:
         """Iterate over currently allocated frame handles."""
         return iter(sorted(self._allocated))
-
-    @property
-    def policy_name(self) -> str:
-        return "lifo" if self._policy is None else self._policy.name
-
-    def fragmentation(self) -> Dict[str, object]:
-        """External fragmentation of the live handle set.
-
-        ``span_frames`` is the extent from lowest to highest live
-        handle; ``occupancy`` how densely that extent is filled (1.0 =
-        perfectly packed); ``allocated_runs`` how many maximal
-        contiguous runs the live set splinters into.  Computed from
-        the allocated set alone, so every policy is measured by the
-        same ruler.
-        """
-        used = len(self._allocated)
-        if used == 0:
-            return {
-                "policy": self.policy_name,
-                "used_frames": 0,
-                "span_frames": 0,
-                "occupancy": 1.0,
-                "allocated_runs": 0,
-            }
-        ordered = sorted(self._allocated)
-        span = ordered[-1] - ordered[0] + 1
-        runs = 1 + sum(
-            1 for lower, upper in zip(ordered, ordered[1:])
-            if upper != lower + 1
-        )
-        return {
-            "policy": self.policy_name,
-            "used_frames": used,
-            "span_frames": span,
-            "occupancy": round(used / span, 4),
-            "allocated_runs": runs,
-        }
 
     def __repr__(self) -> str:
         return (

@@ -60,11 +60,6 @@ class PageKind(enum.Enum):
     KERNEL = "kernel"
     UNEVICTABLE = "unevictable"
 
-    @property
-    def swappable(self) -> bool:
-        """Whether the Linux swap subsystem may move this page to swap."""
-        return self is PageKind.ANONYMOUS
-
 
 class Page:
     """One 4 KB page of a guest's (or process's) virtual memory.
@@ -105,11 +100,6 @@ class Page:
         #: Monotonic write counter for stale-read detection without bytes.
         self.version = 0
         self.data = data
-
-    @property
-    def evictable_by_swap(self) -> bool:
-        """Linux swap eligibility: anonymous and not mlocked (paper §II)."""
-        return self.kind.swappable and not self.mlocked
 
     def write(self, data: Optional[bytes] = None) -> None:
         """Record a store to this page (marks dirty, bumps version).

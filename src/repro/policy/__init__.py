@@ -1,28 +1,24 @@
 """Pluggable memory-management policies (the "policy lab").
 
-Three families, each behind a small ABC with interchangeable
-implementations, raced against each other by the ``tournament`` bench
-experiment (``python -m repro.bench tournament``):
+Two families, each behind a small ABC with interchangeable
+implementations:
 
-* :mod:`repro.policy.alloc` — where frames and remote-store slots are
-  placed (LIFO stack, first-fit, buddy, size-class arenas),
 * :mod:`repro.policy.prefetch` — which pages the monitor pulls ahead
-  of demand (none, sequential, Leap majority-trend),
+  of demand (none, sequential, Leap majority-trend), raced together
+  with the monitor's fault-handler count by the ``tournament`` bench
+  experiment (``python -m repro.bench tournament``),
 * :mod:`repro.policy.share` — which VM's page is evicted first
   (weighted proportional shares; previously ``repro.core.policy``).
 
+Host frames and eviction-buffer addresses are not a policy: the
+monitor takes them from one LIFO free stack
+(:class:`repro.mem.FrameAllocator`), as the paper's monitor does.
+
 ``repro.policy.share`` imports from :mod:`repro.core` and is loaded
-lazily here, so the allocation/prefetch half of the package stays
-importable from inside ``repro.core`` itself without a cycle.
+lazily here, so the prefetch half of the package stays importable
+from inside ``repro.core`` itself without a cycle.
 """
 
-from .alloc import (
-    AllocationPolicy,
-    BuddyAllocationPolicy,
-    FirstFitAllocationPolicy,
-    LifoAllocationPolicy,
-    SizeClassArenaAllocationPolicy,
-)
 from .prefetch import (
     LeapPrefetcher,
     NoopPrefetcher,
@@ -31,32 +27,21 @@ from .prefetch import (
     resolve_prefetcher,
 )
 from .registry import (
-    ALLOCATION_POLICIES,
-    DEFAULT_ALLOC_POLICY,
     DEFAULT_PREFETCH_POLICY,
     PREFETCH_POLICIES,
     PolicyCombo,
-    make_alloc_policy,
     validate_policy_names,
 )
 
 __all__ = [
-    "AllocationPolicy",
-    "LifoAllocationPolicy",
-    "FirstFitAllocationPolicy",
-    "BuddyAllocationPolicy",
-    "SizeClassArenaAllocationPolicy",
     "Prefetcher",
     "NoopPrefetcher",
     "SequentialPrefetcher",
     "LeapPrefetcher",
     "resolve_prefetcher",
-    "ALLOCATION_POLICIES",
     "PREFETCH_POLICIES",
-    "DEFAULT_ALLOC_POLICY",
     "DEFAULT_PREFETCH_POLICY",
     "PolicyCombo",
-    "make_alloc_policy",
     "validate_policy_names",
     "SharePolicy",
     "ShareSpec",

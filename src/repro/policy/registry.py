@@ -1,78 +1,39 @@
-"""Named policy registries and tournament combo enumeration.
+"""Policy names and tournament combo enumeration.
 
-One place maps policy names (the strings carried in
+One place lists the prefetch policy names (the strings carried in
 :class:`~repro.core.FluidMemConfig` and the tournament's combo labels)
-to factories.  Factories return *fresh* instances — policies hold
-per-run state, so two monitors must never share one.
+and checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Tuple
 
 from ..errors import FluidMemError
-from .alloc import (
-    AllocationPolicy,
-    BuddyAllocationPolicy,
-    FirstFitAllocationPolicy,
-    LifoAllocationPolicy,
-    SizeClassArenaAllocationPolicy,
-)
-from .prefetch import resolve_prefetcher  # noqa: F401  (re-exported)
 
 __all__ = [
-    "ALLOCATION_POLICIES",
     "PREFETCH_POLICIES",
-    "DEFAULT_ALLOC_POLICY",
     "DEFAULT_PREFETCH_POLICY",
     "PolicyCombo",
-    "make_alloc_policy",
     "validate_policy_names",
 ]
-
-#: Allocation policy name -> zero-arg factory.
-ALLOCATION_POLICIES: Dict[str, Callable[[], AllocationPolicy]] = {
-    "lifo": LifoAllocationPolicy,
-    "first-fit": FirstFitAllocationPolicy,
-    "buddy": BuddyAllocationPolicy,
-    "arena": SizeClassArenaAllocationPolicy,
-}
 
 #: Prefetch policy names understood by
 #: :func:`repro.policy.prefetch.resolve_prefetcher`.
 PREFETCH_POLICIES: Tuple[str, ...] = ("none", "sequential", "leap")
 
-#: The shipped defaults (byte-identical to the pre-policy-lab code).
-DEFAULT_ALLOC_POLICY = "lifo"
+#: The shipped default.
 DEFAULT_PREFETCH_POLICY = "sequential"
 
 
-def make_alloc_policy(name: str) -> Optional[AllocationPolicy]:
-    """Fresh allocation policy for ``name``.
+def validate_policy_names(prefetch: str) -> None:
+    """Fail fast on a bad config knob (used at monitor build time).
 
-    Returns ``None`` for ``"lifo"`` — the owner's built-in free stack
-    *is* the LIFO policy, and skipping the indirection keeps the
-    default hot path (and its bytes) identical to the pre-policy code.
+    :func:`repro.policy.prefetch.resolve_prefetcher` lets any name
+    through at depth 0, so a misspelt policy would otherwise go
+    unnoticed until prefetch is turned on.
     """
-    if name == DEFAULT_ALLOC_POLICY:
-        return None
-    factory = ALLOCATION_POLICIES.get(name)
-    if factory is None:
-        raise FluidMemError(
-            f"unknown allocation policy {name!r}; choose from "
-            f"{tuple(sorted(ALLOCATION_POLICIES))}"
-        )
-    return factory()
-
-
-def validate_policy_names(alloc: str, prefetch: str) -> None:
-    """Fail fast on a bad config knob (used at monitor build time)."""
-    if alloc not in ALLOCATION_POLICIES:
-        raise FluidMemError(
-            f"unknown allocation policy {alloc!r}; choose from "
-            f"{tuple(sorted(ALLOCATION_POLICIES))}"
-        )
     if prefetch not in PREFETCH_POLICIES:
         raise FluidMemError(
             f"unknown prefetch policy {prefetch!r}; choose from "
@@ -82,14 +43,13 @@ def validate_policy_names(alloc: str, prefetch: str) -> None:
 
 @dataclass(frozen=True)
 class PolicyCombo:
-    """One tournament contestant: an (alloc, prefetch, handlers) triple."""
+    """One tournament contestant: a (prefetch, handlers) pair."""
 
-    alloc: str
     prefetch: str
     handlers: int
 
     def __post_init__(self) -> None:
-        validate_policy_names(self.alloc, self.prefetch)
+        validate_policy_names(self.prefetch)
         if self.handlers < 1:
             raise FluidMemError(
                 f"handlers must be >= 1, got {self.handlers}"
@@ -97,4 +57,4 @@ class PolicyCombo:
 
     @property
     def label(self) -> str:
-        return f"{self.alloc}+{self.prefetch}+h{self.handlers}"
+        return f"{self.prefetch}+h{self.handlers}"

@@ -85,7 +85,6 @@ def _run_single_vm(
     spec = scenario.single_vm
     policy = scenario.policy
     config = FluidMemConfig(
-        alloc_policy=policy.alloc,
         prefetch_policy=policy.prefetch,
         prefetch_pages=policy.prefetch_pages,
         fault_handlers=policy.fault_handlers,
@@ -135,7 +134,6 @@ def _run_single_vm(
         "platform": {
             spec.platform: {
                 "fault_plan": spec.fault_plan or "none",
-                "alloc": policy.alloc,
                 "prefetch": policy.prefetch,
             }
         }

@@ -4,9 +4,9 @@ A scenario document is plain JSON.  Validation is *strict*: every
 unknown field is an error (with a did-you-mean suggestion when a known
 field is close), every value is type- and range-checked, and every name
 drawn from a vocabulary — scenario kinds, bench platforms, fault plans,
-allocation and prefetch policies, workload patterns — is checked
-against the live registry it compiles into, so a scenario cannot name a
-policy the :mod:`repro.policy` registries do not hold.
+prefetch policies, workload patterns — is checked against the live
+registry it compiles into, so a scenario cannot name a policy the
+:mod:`repro.policy` registry does not hold.
 
 All issues are collected in document order and raised as one
 :class:`~repro.errors.ScenarioError`, each line carrying the JSON path
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
 from ..faults import NAMED_PLANS
-from ..policy.registry import ALLOCATION_POLICIES, PREFETCH_POLICIES
+from ..policy.registry import PREFETCH_POLICIES
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -70,7 +70,6 @@ _SINGLE_VM_ENGINES = ("pmbench",)
 class PolicySpec:
     """The policy combo compiled into :class:`~repro.core.FluidMemConfig`."""
 
-    alloc: str = "lifo"
     prefetch: str = "sequential"
     prefetch_pages: int = 0
     fault_handlers: int = 1
@@ -373,11 +372,7 @@ def _get_section(
 def _validate_policy(issues: _Issues, doc: Dict[str, object]) -> PolicySpec:
     path = "policy"
     _check_keys(issues, path, doc,
-                ("alloc", "prefetch", "prefetch_pages", "fault_handlers"))
-    alloc = _get_choice(
-        issues, path, doc, "alloc", tuple(sorted(ALLOCATION_POLICIES)),
-        "lifo", "allocation policy",
-    )
+                ("prefetch", "prefetch_pages", "fault_handlers"))
     prefetch = _get_choice(
         issues, path, doc, "prefetch", PREFETCH_POLICIES,
         "sequential", "prefetch policy",
@@ -393,8 +388,8 @@ def _validate_policy(issues: _Issues, doc: Dict[str, object]) -> PolicySpec:
         )
         prefetch_pages = 0
     return PolicySpec(
-        alloc=alloc, prefetch=prefetch,
-        prefetch_pages=prefetch_pages, fault_handlers=handlers,
+        prefetch=prefetch, prefetch_pages=prefetch_pages,
+        fault_handlers=handlers,
     )
 
 

@@ -381,9 +381,12 @@ class AccessDriver:
             if self._hits_since_flush >= self.flush_every:
                 yield from self.flush()
             return
-        # Miss: settle accumulated hit time first so ordering is sane.
+        # Miss: settle accumulated hit time first so ordering is sane,
+        # and end the hit run even when a zero hit cost left no time.
         fault = port.fault
-        if self._pending_us > 0.0 and (yield from self.flush()):
+        if (self._pending_us > 0.0 or self._run_hits) and (
+            yield from self.flush()
+        ):
             # Other processes ran during the wait: probe again.
             fault = port.access
         started = self.env._now

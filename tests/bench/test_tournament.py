@@ -10,7 +10,6 @@ import pytest
 from repro.bench.cli import main as bench_main
 from repro.bench.tournament import (
     HANDLER_COUNTS,
-    QUICK_ALLOCS,
     TOURNAMENT_WORKLOADS,
     _cell_config,
     run_tournament,
@@ -35,8 +34,8 @@ def quick_result():
 # ----------------------------------------------------------------- shape
 
 def test_quick_tournament_covers_the_full_grid(quick_result):
-    combos = len(QUICK_ALLOCS) * len(PREFETCH_POLICIES) * len(HANDLER_COUNTS)
-    assert combos == 12
+    combos = len(PREFETCH_POLICIES) * len(HANDLER_COUNTS)
+    assert combos == 6
     assert len(quick_result.cells) == combos * len(TOURNAMENT_WORKLOADS)
     assert len(quick_result.ranking) == combos
     seen = {
@@ -49,8 +48,6 @@ def test_cells_carry_the_policy_lab_telemetry(quick_result):
     for cell in quick_result.cells:
         assert cell["faults"] > 0
         assert cell["p99_us"] >= cell["p50_us"] >= 0.0
-        assert 0.0 <= cell["frame_occupancy"] <= 1.0
-        assert 0.0 <= cell["slot_occupancy"] <= 1.0
         if cell["prefetch"] == "none":
             assert cell["prefetches_issued"] == 0
 
@@ -100,23 +97,22 @@ def test_workers_do_not_change_the_bytes(quick_result):
 # ------------------------------------------------- default-combo parity
 
 def test_default_combo_config_is_the_shipped_default():
-    """Selecting lifo+none+h1 explicitly must resolve to the same
+    """Selecting none+h1 explicitly must resolve to the same
     machinery an unconfigured monitor gets — the 'default combo is
     byte-identical to today' guarantee starts here."""
     import dataclasses
 
-    from repro.policy import make_alloc_policy, resolve_prefetcher
+    from repro.policy import resolve_prefetcher
 
-    cell = _cell_config("lifo", "none", 1)
+    cell = _cell_config("none", 1)
     default = FluidMemConfig()
     # The spelled-out policy names differ ("none" vs "sequential at
-    # depth 0") but both resolve to no prefetcher and no alloc policy.
+    # depth 0") but both resolve to no prefetcher.
     assert cell == dataclasses.replace(default, prefetch_policy="none")
     assert resolve_prefetcher(cell.prefetch_policy,
                               cell.prefetch_pages) is None
     assert resolve_prefetcher(default.prefetch_policy,
                               default.prefetch_pages) is None
-    assert make_alloc_policy(cell.alloc_policy) is None
     assert cell.fault_handlers == default.fault_handlers == 1
 
 
@@ -153,7 +149,7 @@ def test_default_combo_matches_unconfigured_platform():
             "now": platform.env.now,
         }, sort_keys=True)
 
-    assert run_one(None) == run_one(_cell_config("lifo", "none", 1))
+    assert run_one(None) == run_one(_cell_config("none", 1))
 
 
 # ------------------------------------------------------------------- cli
@@ -205,7 +201,7 @@ def test_market_cell_addresses_fit_the_vm():
     from repro.bench.tournament import _run_market_cell
 
     cell = _run_market_cell({
-        "alloc": "lifo", "prefetch": "leap", "handlers": 4,
+        "prefetch": "leap", "handlers": 4,
         "workload": "market", "quick": True, "seed": 3,
         "faults": "none",
     })

@@ -1,5 +1,7 @@
 """Tests for the provider policy layer and the autoscaler."""
 
+import warnings
+
 import pytest
 
 from repro.core import (
@@ -24,6 +26,18 @@ def touch(stack, port, vm, indexes):
                                    is_write=True)
 
     stack.run(gen(stack.env))
+
+
+# ----------------------------------------------------------- import paths
+
+def test_new_import_paths_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.core import SharePolicy as from_core
+        from repro.policy import SharePolicy as from_policy
+        from repro.policy.share import SharePolicy as from_share
+
+    assert from_core is from_policy is from_share
 
 
 # ------------------------------------------------------------- ShareSpec

@@ -22,21 +22,6 @@ def test_page_data_size_checked():
     assert page.data == ZERO_PAGE_DATA
 
 
-def test_page_kind_swappability():
-    """Only anonymous pages are swappable — the heart of partial vs full."""
-    assert PageKind.ANONYMOUS.swappable
-    assert not PageKind.FILE_BACKED.swappable
-    assert not PageKind.KERNEL.swappable
-    assert not PageKind.UNEVICTABLE.swappable
-
-
-def test_mlocked_page_not_swap_evictable():
-    page = Page(vaddr=0, kind=PageKind.ANONYMOUS, mlocked=True)
-    assert not page.evictable_by_swap
-    free_page = Page(vaddr=0, kind=PageKind.ANONYMOUS)
-    assert free_page.evictable_by_swap
-
-
 def test_write_marks_dirty_and_bumps_version():
     page = Page(vaddr=4096)
     assert not page.dirty
@@ -101,6 +86,28 @@ def test_allocator_free_and_reuse():
     frame = alloc.allocate()
     alloc.free(frame)
     assert alloc.allocate() == frame
+
+
+def test_lifo_returns_most_recently_freed_first():
+    """The free stack: freed frames come back newest first, and only
+    then does a never-used frame go out."""
+    alloc = FrameAllocator(total_frames=8)
+    taken = [alloc.allocate() for _ in range(4)]
+    assert taken == [0, 1, 2, 3]
+    alloc.free(1)
+    alloc.free(3)
+    assert alloc.allocate() == 3
+    assert alloc.allocate() == 1
+    assert alloc.allocate() == 4
+
+
+def test_lifo_exhaustion_returns_none():
+    alloc = FrameAllocator(total_frames=2)
+    assert alloc.allocate() == 0
+    assert alloc.allocate() == 1
+    assert alloc.try_allocate() is None
+    alloc.free(0)
+    assert alloc.allocate() == 0
 
 
 def test_allocator_double_free_rejected():

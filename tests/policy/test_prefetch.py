@@ -7,8 +7,10 @@ from repro.mem import PAGE_SIZE
 from repro.policy import (
     LeapPrefetcher,
     NoopPrefetcher,
+    PolicyCombo,
     SequentialPrefetcher,
     resolve_prefetcher,
+    validate_policy_names,
 )
 
 
@@ -173,3 +175,23 @@ def test_resolve_prefetcher_builds_named_policies():
     assert resolve_prefetcher("leap", 4).name == "leap"
     with pytest.raises(FluidMemError):
         resolve_prefetcher("oracle", 4)
+
+
+# -------------------------------------------------------------- registry
+
+def test_validate_policy_names():
+    """The monitor's build-time check: ``resolve_prefetcher`` lets any
+    name through at depth 0, so a misspelt policy fails here."""
+    validate_policy_names("leap")
+    assert resolve_prefetcher("nope", 0) is None
+    with pytest.raises(FluidMemError):
+        validate_policy_names("nope")
+
+
+def test_policy_combo_label_and_validation():
+    combo = PolicyCombo("leap", 4)
+    assert combo.label == "leap+h4"
+    with pytest.raises(FluidMemError):
+        PolicyCombo("nope", 1)
+    with pytest.raises(FluidMemError):
+        PolicyCombo("leap", 0)

@@ -62,8 +62,15 @@ def test_golden_unknown_field_with_suggestion():
 
 
 def test_golden_bad_policy_names():
-    doc = _minimal(policy={"alloc": "budy", "prefetch": "leep"})
+    doc = _minimal(policy={"prefetch": "leep"})
     _golden("bad-policy-names", _error_text(doc))
+
+
+def test_policy_alloc_is_an_unknown_field():
+    """Frames come from one free stack; a document that still names an
+    allocation policy is refused, not silently ignored."""
+    doc = _minimal(policy={"alloc": "lifo"})
+    assert "policy.alloc: unknown field" in _error_text(doc)
 
 
 def test_golden_multi_issue_document():
@@ -187,7 +194,6 @@ def test_defaults_fill_unspecified_knobs():
     spec = scenario.single_vm
     assert spec.platform == "fluidmem-ramcloud"
     assert spec.memory_scale_denom == 1024
-    assert scenario.policy.alloc == "lifo"
     assert scenario.invariants is True
     assert scenario.trace_enabled is True
 

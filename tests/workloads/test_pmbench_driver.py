@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.mem import PAGE_SIZE
 from repro.workloads import AccessDriver, Pmbench, PmbenchConfig
 
 from .conftest import make_fluidmem_world, make_swap_world
@@ -92,6 +93,29 @@ def test_flush_resets_the_hit_count_whatever_the_hit_cost(fluid_world,
     assert (driver.faults, driver.hits) == (1, 10)
     assert runs == [4, 4]
     assert driver._hits_since_flush == 2
+
+
+@pytest.mark.parametrize("cost", [0.0, 0.15])
+def test_a_miss_ends_the_hit_run_whatever_the_hit_cost(fluid_world, cost):
+    """Fault, 2 hits, fault, 2 hits at ``flush_every=4``: the second
+    fault closes the first run of 2, at a zero hit cost as at a
+    positive one, and the last 2 hits stay pending."""
+    world = fluid_world
+    driver = AccessDriver(world.env, world.port, hit_cost_us=cost,
+                          flush_every=4)
+    runs = []
+    world.port.note_hit_run = runs.append
+
+    def gen(env):
+        for vaddr in (world.base_addr, world.base_addr + PAGE_SIZE):
+            yield from driver.access(vaddr, is_write=True)  # fault
+            for _ in range(2):
+                yield from driver.access(vaddr)
+
+    world.run(gen(world.env))
+    assert (driver.faults, driver.hits) == (2, 4)
+    assert runs == [2]
+    assert driver._run_hits == driver._hits_since_flush == 2
 
 
 # ----------------------------------------------------------------- Pmbench
