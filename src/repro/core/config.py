@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import FluidMemError
 from ..faults.retry import RetryPolicy
+from ..policy.registry import DEFAULT_PREFETCH_POLICY
 
 __all__ = ["FluidMemConfig", "MonitorLatency"]
 
@@ -77,9 +78,9 @@ class FluidMemConfig:
     prefetch_pages: int = 0
     #: Which prefetch policy generates candidates when
     #: ``prefetch_pages`` > 0 (:mod:`repro.policy.prefetch`):
-    #: ``"sequential"`` (the original next-N scheme), ``"leap"``
-    #: (majority-trend window detection), or ``"none"``.
-    prefetch_policy: str = "sequential"
+    #: ``"sequential"`` (the original next-N scheme, the default),
+    #: ``"leap"`` (majority-trend window detection), or ``"none"``.
+    prefetch_policy: str = DEFAULT_PREFETCH_POLICY
     #: Lightweight fault-handler coroutines (arXiv 2107.13848): 1 is
     #: the paper's single-threaded monitor loop; N > 1 lets faults
     #: from different vCPUs overlap behind a semaphore of N slots.

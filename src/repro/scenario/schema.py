@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
 from ..faults import NAMED_PLANS
-from ..policy.registry import PREFETCH_POLICIES
+from ..policy.registry import DEFAULT_PREFETCH_POLICY, PREFETCH_POLICIES
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -70,7 +70,7 @@ _SINGLE_VM_ENGINES = ("pmbench",)
 class PolicySpec:
     """The policy combo compiled into :class:`~repro.core.FluidMemConfig`."""
 
-    prefetch: str = "sequential"
+    prefetch: str = DEFAULT_PREFETCH_POLICY
     prefetch_pages: int = 0
     fault_handlers: int = 1
 
@@ -375,7 +375,7 @@ def _validate_policy(issues: _Issues, doc: Dict[str, object]) -> PolicySpec:
                 ("prefetch", "prefetch_pages", "fault_handlers"))
     prefetch = _get_choice(
         issues, path, doc, "prefetch", PREFETCH_POLICIES,
-        "sequential", "prefetch policy",
+        DEFAULT_PREFETCH_POLICY, "prefetch policy",
     )
     prefetch_pages = _get_int(issues, path, doc, "prefetch_pages", 0,
                               minimum=0, maximum=64)

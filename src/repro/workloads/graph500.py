@@ -13,6 +13,12 @@ granularity onto a :class:`~repro.vm.MemoryPort`: the CSR arrays
 (xadj, adjacency), the parent array, and the visited bitmap are laid
 out in guest memory, and every BFS array access touches the page that
 element lives on.  TEPS is computed in simulated time.
+
+A BFS's page trace depends only on the graph, the root and where the
+arrays sit, so the first BFS of a root records it on its
+:class:`KroneckerGraph` and every later one on that graph replays it:
+the Figure 4 cells, which share one graph and one set of roots, build
+each trace once (:meth:`Graph500.bfs`).
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
-from ..mem import PAGE_SIZE
+from ..mem import PAGE_SHIFT, PAGE_SIZE
 from ..sim import Environment, harmonic_mean
 from ..vm import MemoryPort
 from .driver import AccessDriver
@@ -81,8 +87,60 @@ def generate_kronecker_edges(
     return np.stack([src[order], dst[order]], axis=1)
 
 
+@dataclass(frozen=True)
+class BfsTrace:
+    """What one traced BFS handed its driver, kept on its graph.
+
+    ``chunks`` holds each chunk as its pages, in pages from the page that
+    holds ``xadj[0]`` and in the smallest unsigned dtype that holds the
+    layout's page span, and the positions of its writes.  ``edges`` and
+    ``parent`` are what the BFS returned; ``nbytes`` counts every
+    array's bytes.  The arrays are read-only.
+    """
+
+    chunks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    edges: int
+    parent: np.ndarray
+    nbytes: int
+
+    @classmethod
+    def of(
+        cls,
+        chunks: List[Tuple[np.ndarray, np.ndarray]],
+        edges: int,
+        parent: np.ndarray,
+    ) -> "BfsTrace":
+        """The trace of ``chunks`` and ``edges`` with a copy of
+        ``parent``, every array made read-only."""
+        parent = parent.copy()
+        arrays = [parent]
+        for offsets, positions in chunks:
+            arrays += (offsets, positions)
+        nbytes = 0
+        for array in arrays:
+            array.flags.writeable = False
+            nbytes += array.nbytes
+        return cls(tuple(chunks), edges, parent, nbytes)
+
+    def replay(self, base: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Each chunk as an int64 page array and a bool write array,
+        its pages shifted to ``base``, the page that holds ``xadj[0]``."""
+        for offsets, positions in self.chunks:
+            pages = offsets.astype(np.int64)
+            pages <<= PAGE_SHIFT
+            pages += base
+            writes = np.zeros(len(pages), dtype=bool)
+            writes[positions] = True
+            yield pages, writes
+
+
 class KroneckerGraph:
-    """CSR form of an undirected Kronecker graph."""
+    """CSR form of an undirected Kronecker graph.
+
+    It also keeps the BFS traces that :meth:`Graph500.bfs` records on it
+    (``traces``), as long as their bytes stay within those of its own
+    CSR arrays, so they live and die with the graph.
+    """
 
     def __init__(self, scale: int, edgefactor: int, seed: int) -> None:
         self.scale = scale
@@ -102,6 +160,8 @@ class KroneckerGraph:
         counts = np.bincount(both[:, 0], minlength=self.num_vertices)
         self.xadj = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=self.xadj[1:])
+        #: Recorded BFS traces, by what each depends on (:meth:`Graph500.bfs`).
+        self.traces: Dict[Tuple[int, ...], BfsTrace] = {}
 
     def neighbors(self, vertex: int) -> np.ndarray:
         return self.adjacency[self.xadj[vertex]:self.xadj[vertex + 1]]
@@ -112,6 +172,19 @@ class KroneckerGraph:
     @property
     def num_directed_edges(self) -> int:
         return len(self.adjacency)
+
+    def trace_room(self) -> int:
+        """Bytes of BFS traces the graph may still keep: all of them
+        together stay within its CSR arrays' bytes."""
+        room = self.xadj.nbytes + self.adjacency.nbytes
+        for trace in self.traces.values():
+            room -= trace.nbytes
+        return room
+
+    def keep_trace(self, key: Tuple[int, ...], trace: BfsTrace) -> None:
+        """Keep ``trace`` under ``key`` if it fits :meth:`trace_room`."""
+        if trace.nbytes <= self.trace_room():
+            self.traces[key] = trace
 
     def memory_bytes(self) -> int:
         """Bytes of the traced arrays (the workload's WSS)."""
@@ -252,18 +325,33 @@ class Graph500:
         offer it declines, the rest of the chunk is retired as one run
         of hits through ``driver.try_hits`` over Python lists, falling
         back to ``driver.access`` where the run stops.  The trace
-        depends only on the graph and the root (nothing simulated reads
-        ``parent`` or the frontier), so it can be built before its first
-        access, and a run of hits passes no simulated time: the port
-        sees the marks, at the instants, of a loop that touches one
-        array element at a time.
+        depends only on the graph, the root and the layout (nothing
+        simulated reads ``parent`` or the frontier), so it can be built
+        before its first access, and a run of hits passes no simulated
+        time: the port sees the marks, at the instants, of a loop that
+        touches one array element at a time.
+
+        So the graph keeps the trace (``KroneckerGraph.traces``), keyed
+        by all it depends on besides the graph: the root, where
+        ``xadj_base`` sits in its page, the slot's parent and visited
+        offsets from ``xadj_base``, and ``_CHUNK_EDGES``.  The first BFS
+        of a key hands each chunk to the driver as soon as it is built
+        and appends a compact copy of it (:class:`BfsTrace`); when the
+        BFS completes, the graph keeps the copies with the edge count
+        and a copy of ``parent``, if they fit its room
+        (:meth:`KroneckerGraph.trace_room`).  A BFS that outgrows the
+        room stops copying, and an abandoned one stores nothing.  Every
+        later BFS of the key on the graph, from any ``Graph500``, hands
+        the driver the same chunks unpacked into the same int64 page
+        and bool write arrays, shifted to its own ``xadj_base``.  The
+        key fixes where that base sits in its page, so the shift is a
+        whole number of pages and commutes with the page mask.  Each
+        call returns its own ``parent`` array.
         """
         access = driver.access
         try_hit_set = driver.try_hit_set
         try_hits = driver.try_hits
         page_mask = ~(PAGE_SIZE - 1)
-        parent = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        parent[root] = root
         yield from access(
             (self.parent_bases[slot] + root * PARENT_BYTES) & page_mask,
             is_write=True,
@@ -272,31 +360,72 @@ class Graph500:
             (self.visited_bases[slot] + root * VISITED_BYTES) & page_mask,
             is_write=True,
         )
+        graph = self.graph
+        base = self.xadj_base & page_mask
+        key = (root, self.xadj_base - base,
+               self.parent_bases[slot] - self.xadj_base,
+               self.visited_bases[slot] - self.xadj_base, _CHUNK_EDGES)
+        trace = graph.traces.get(key)
+        kept: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        if trace is not None:
+            chunks = trace.replay(base)
+        else:
+            parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+            parent[root] = root
+            chunks = self._traverse(root, parent, slot)
+            room = graph.trace_room() - parent.nbytes
+            if room >= 0:
+                kept = []
+                span = (self.end_addr - base) // PAGE_SIZE
+                dtype = np.min_scalar_type(span - 1)
+        for pages, writes in chunks:
+            if kept is not None:
+                offsets = ((pages - base) >> PAGE_SHIFT).astype(dtype)
+                positions = np.flatnonzero(writes).astype(
+                    np.min_scalar_type(len(pages) - 1)
+                )
+                room -= offsets.nbytes + positions.nbytes
+                if room < 0:
+                    kept = None
+                else:
+                    kept.append((offsets, positions))
+            stop = len(pages)
+            index = 0
+            done = try_hit_set(pages, writes)
+            while done is not None and done < stop:
+                yield from access(int(pages[done]), bool(writes[done]))
+                index = done + 1
+                done = try_hit_set(pages, writes, index)
+            if done is None:
+                # Declined (a page of the rest is absent, or the driver
+                # has no set body for it): the rest goes through the run
+                # body, whatever it faults in.
+                pages, writes = pages.tolist(), writes.tolist()
+                index = try_hits(pages, writes, index)
+                while index < stop:
+                    yield from access(pages[index], writes[index])
+                    index = try_hits(pages, writes, index + 1)
+        if trace is not None:
+            return trace.edges, trace.parent.copy()
+        # Each reached vertex was expanded once, all its edges with it.
+        degrees = np.diff(graph.xadj)
+        edges = int(degrees[parent != -1].sum())
+        if kept is not None:
+            graph.keep_trace(key, BfsTrace.of(kept, edges, parent))
+        return edges, parent
+
+    def _traverse(
+        self, root: int, parent: np.ndarray, slot: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The pages and writes of each chunk of the BFS from ``root``,
+        level after level (:meth:`_expand`), setting ``parent``."""
         frontier = np.array([root], dtype=np.int64)
         while frontier.size:
             reached = []
             for pages, writes, new in self._expand(frontier, parent, slot):
                 reached.append(new)
-                stop = len(pages)
-                index = 0
-                done = try_hit_set(pages, writes)
-                while done is not None and done < stop:
-                    yield from access(int(pages[done]), bool(writes[done]))
-                    index = done + 1
-                    done = try_hit_set(pages, writes, index)
-                if done is None:
-                    # Declined (a page of the rest is absent, or the
-                    # driver has no set body for it): the rest goes
-                    # through the run body, whatever it faults in.
-                    pages, writes = pages.tolist(), writes.tolist()
-                    index = try_hits(pages, writes, index)
-                    while index < stop:
-                        yield from access(pages[index], writes[index])
-                        index = try_hits(pages, writes, index + 1)
+                yield pages, writes
             frontier = np.concatenate(reached)
-        # Each reached vertex was expanded once, all its edges with it.
-        degrees = np.diff(self.graph.xadj)
-        return int(degrees[parent != -1].sum()), parent
 
     def _expand(
         self, frontier: np.ndarray, parent: np.ndarray, slot: int

@@ -1,10 +1,13 @@
 """Tests for the Kronecker generator and traced BFS."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.bench.fig4_graph500 import memory_scale_for
-from repro.bench.platform import build_platform
+from repro.bench.platform import PLATFORM_NAMES, build_platform
 from repro.core import FluidMemConfig
 from repro.errors import WorkloadError
 from repro.mem import PAGE_SIZE, PageKind
@@ -279,12 +282,13 @@ class RecordingPort(MemoryPort):
 ORDER_SCALE = 10
 
 
-def traced_bfs_run(backend, wss_of_dram, bfs, config=None):
+def traced_bfs_run(backend, wss_of_dram, bfs, config=None, graph=None):
     """Graph500.run's steps, with each root's parent array kept, behind
-    a recording port; ``bfs`` is the traversal under test and
-    ``config`` the FluidMem monitor's (the platform's default when
-    None)."""
-    graph = KroneckerGraph(ORDER_SCALE, 16, seed=42)
+    a recording port; ``bfs`` is the traversal under test, ``config``
+    the FluidMem monitor's (the platform's default when None) and
+    ``graph`` the graph (a fresh one when None)."""
+    if graph is None:
+        graph = KroneckerGraph(ORDER_SCALE, 16, seed=42)
     platform = build_platform(
         backend, memory_scale=memory_scale_for(graph, wss_of_dram),
         seed=42, remote_factor=6, fluidmem_config=config,
@@ -330,24 +334,29 @@ def test_bfs_accesses_pages_in_the_reference_order(
     """The chunk-built trace makes the same port calls, page for page,
     with the same write flags, hits and misses, at the same simulated
     instants as the per-element loop, and both traversals give the
-    same valid BFS trees."""
+    same valid BFS trees; so does a second run on the same graph, which
+    replays both roots' traces."""
     _bench, expected, expected_port = traced_bfs_run(
         backend, wss_of_dram, reference_bfs, config
     )
-    bench, trees, port = traced_bfs_run(
-        backend, wss_of_dram, lambda b, *args: b.bfs(*args), config
-    )
-    log = port.log
-    assert log == expected_port.log
-    assert any(not hit for _page, _write, hit, _now in log)
-    assert (port.per_access_runs > 0) == (config is not None)
-    assert len(trees) == len(expected) == 2
-    for (root, edges, parent), (root_ref, edges_ref, parent_ref) in zip(
-        trees, expected
-    ):
-        assert (root, edges) == (root_ref, edges_ref)
-        assert np.array_equal(parent, parent_ref)
-        assert bench.validate_bfs(root, parent)
+    graph = KroneckerGraph(ORDER_SCALE, 16, seed=42)
+    for replayed in (False, True):
+        assert len(graph.traces) == 2 * replayed
+        bench, trees, port = traced_bfs_run(
+            backend, wss_of_dram, lambda b, *args: b.bfs(*args), config,
+            graph=graph,
+        )
+        log = port.log
+        assert log == expected_port.log
+        assert any(not hit for _page, _write, hit, _now in log)
+        assert (port.per_access_runs > 0) == (config is not None)
+        assert len(trees) == len(expected) == 2
+        for (root, edges, parent), (root_ref, edges_ref, parent_ref) in zip(
+            trees, expected
+        ):
+            assert (root, edges) == (root_ref, edges_ref)
+            assert np.array_equal(parent, parent_ref)
+            assert bench.validate_bfs(root, parent)
 
 
 # ------------------------------------------- chunked levels, per vertex
@@ -419,14 +428,17 @@ def chunk_lengths(graph, frontier, lengths, bound):
 
 class ListDriver:
     """A driver on which every access hits; it keeps each access it is
-    handed and checks that it is a Python int with a Python bool.  It
-    declines every set offer, so ``bfs`` hands it each chunk as lists."""
+    handed, and each chunk's length, and checks that it is a Python int
+    with a Python bool.  It declines every set offer, so ``bfs`` hands
+    it each chunk as lists."""
 
     def __init__(self):
         self.pages = []
         self.writes = []
+        self.chunks = []
 
     def try_hit_set(self, vaddrs, writes, start=0):
+        assert vaddrs.dtype == np.int64 and writes.dtype == np.bool_
         return None
 
     def try_hits(self, vaddrs, writes, start=0):
@@ -435,6 +447,7 @@ class ListDriver:
         assert {type(write) for write in writes} <= {bool}
         self.pages.extend(vaddrs)
         self.writes.extend(writes)
+        self.chunks.append(len(vaddrs))
         return len(vaddrs)
 
     def access(self, vaddr, is_write=False):
@@ -461,7 +474,8 @@ def test_chunked_levels_equal_the_per_vertex_loop(
     loop's, cut into the chunks the bound allows.  The roots include a
     vertex of no edges where the graph has one, and the BFS expands a
     vertex holding more edges than the bound whenever the graph has
-    one."""
+    one.  A second BFS of each root replays the trace the first one
+    kept, expanding nothing, and hands over the same chunks."""
     if bound is not None:
         monkeypatch.setattr(graph500_module, "_CHUNK_EDGES", bound)
     bound = graph500_module._CHUNK_EDGES
@@ -496,28 +510,286 @@ def test_chunked_levels_equal_the_per_vertex_loop(
         edges, parent, levels, pages, writes = per_vertex_bfs(
             bench, root, slot
         )
-        driver = ListDriver()
-        expanded.clear()
-        for handed in chunked:
-            handed.clear()
-        with pytest.raises(StopIteration) as done:
-            next(bench.bfs(root, driver, slot))
-        got_edges, got_parent = done.value.value
-        assert type(got_edges) is int and got_edges == edges
-        assert got_parent.dtype == np.int64
-        assert got_parent.tolist() == parent
-        assert (driver.pages, driver.writes) == (pages, writes)
-        # The chunks' arrays, the root's two writes before them.
-        assert chunked == (pages[2:], writes[2:])
-        assert [frontier for frontier, _chunks in expanded] == [
-            frontier for frontier, _lengths in levels
-        ]
-        for (frontier, chunks), (_frontier, lengths) in zip(
-            expanded, levels
-        ):
-            assert chunks == chunk_lengths(graph, frontier, lengths, bound)
+        graph.traces.clear()
+        handed_chunks = None
+        for replayed in (False, True):
+            driver = ListDriver()
+            expanded.clear()
+            for handed in chunked:
+                handed.clear()
+            with pytest.raises(StopIteration) as done:
+                next(bench.bfs(root, driver, slot))
+            got_edges, got_parent = done.value.value
+            assert type(got_edges) is int and got_edges == edges
+            assert got_parent.dtype == np.int64
+            assert got_parent.tolist() == parent
+            assert (driver.pages, driver.writes) == (pages, writes)
+            if replayed:
+                assert expanded == [] and chunked == ([], [])
+                assert driver.chunks == handed_chunks
+                continue
+            assert len(graph.traces) == 1
+            handed_chunks = driver.chunks
+            # The chunks' arrays, the root's two writes before them.
+            assert chunked == (pages[2:], writes[2:])
+            assert [frontier for frontier, _chunks in expanded] == [
+                frontier for frontier, _lengths in levels
+            ]
+            assert [
+                length for _frontier, chunks in expanded for length in chunks
+            ] == handed_chunks
+            for (frontier, chunks), (_frontier, lengths) in zip(
+                expanded, levels
+            ):
+                assert chunks == chunk_lengths(
+                    graph, frontier, lengths, bound
+                )
         oversized |= any(
             graph.degree(vertex) > bound
             for frontier, _lengths in levels for vertex in frontier
         )
     assert oversized == bool(np.diff(graph.xadj).max() > bound)
+
+
+# ---------------------------------------------------- one trace per graph
+
+def list_bfs(bench, root, slot, driver=None):
+    """``bench.bfs`` on a :class:`ListDriver` (or ``driver``), which
+    never waits; returns the edge count, the parent array and the
+    driver."""
+    driver = driver or ListDriver()
+    with pytest.raises(StopIteration) as done:
+        next(bench.bfs(root, driver, slot))
+    edges, parent = done.value.value
+    return edges, parent, driver
+
+
+def small_bench(graph=None):
+    """A Graph500 of no platform on a scale-8 graph (16 edges a
+    vertex, about 21 pages of arrays), for runs on a ListDriver."""
+    graph = graph or KroneckerGraph(8, 16, seed=5)
+    return Graph500(None, None, 0x40000, Graph500Config(
+        scale=8, edgefactor=16, num_bfs_roots=12, seed=5,
+    ), graph=graph)
+
+
+class ChunkLog:
+    """Passes every call on to an AccessDriver and logs each chunk
+    ``bfs`` offers it: the pages and write flags of its first set offer,
+    which must be int64 and bool arrays."""
+
+    def __init__(self, driver):
+        self.driver = driver
+        self.access = driver.access
+        self.try_hits = driver.try_hits
+        self.chunks = []
+
+    def try_hit_set(self, vaddrs, writes, start=0):
+        if start == 0:
+            assert vaddrs.dtype == np.int64 and writes.dtype == np.bool_
+            self.chunks.append((vaddrs.tolist(), writes.tolist()))
+        return self.driver.try_hit_set(vaddrs, writes, start)
+
+
+def logged_bfs_runs(backend, wss_of_dram, graph, roots, fresh):
+    """A BFS of each of ``roots`` in turn, root ``i`` in slot ``i % 2``,
+    on a ``backend`` platform with the graph at ``wss_of_dram`` of its
+    DRAM, behind a recording port and a chunk log.  ``fresh`` empties
+    the graph's traces before each BFS.  Returns the workload base,
+    each BFS's chunks, edge count and parent list, and the port's
+    log."""
+    platform = build_platform(
+        backend, memory_scale=memory_scale_for(graph, wss_of_dram),
+        seed=42, remote_factor=6,
+    )
+    port = RecordingPort(platform.env, platform.port)
+    bench = Graph500(
+        platform.env, port, platform.workload_base,
+        Graph500Config(scale=ORDER_SCALE, edgefactor=16, num_bfs_roots=1,
+                       seed=42),
+        graph=graph,
+    )
+
+    def run():
+        yield from bench.load_graph()
+        driver = AccessDriver(bench.env, port, rng=bench._rng)
+        runs = []
+        for index, root in enumerate(roots):
+            if fresh:
+                graph.traces.clear()
+            log = ChunkLog(driver)
+            edges, parent = yield from bench.bfs(root, log, index % 2)
+            yield from driver.flush()
+            runs.append((log.chunks, edges, parent.tolist()))
+        return runs
+
+    return platform.workload_base, platform.run(run()), port.log
+
+
+@pytest.mark.parametrize("backend", PLATFORM_NAMES)
+def test_a_replayed_bfs_hands_the_driver_what_a_fresh_one_does(
+    monkeypatch, backend
+):
+    """On every platform, at two memory points and so at two workload
+    bases, a BFS that replays its graph's trace hands the driver,
+    chunk by chunk, the int64 pages and bool writes a fresh expansion
+    does, and returns its edge count and parent; the port sees the same
+    calls at the same instants.  Root ``a`` runs in slot 0, ``b`` in
+    slot 1, then ``a`` in slot 0 again (a replay at the base that
+    recorded it) and in slot 1 (a new trace, as the slot's arrays sit
+    elsewhere).  At the second point all four replay, shifted."""
+    expansions = []
+    traverse = Graph500._traverse
+
+    def counted_traverse(self, root, parent, slot):
+        expansions.append((root, slot))
+        return traverse(self, root, parent, slot)
+
+    monkeypatch.setattr(Graph500, "_traverse", counted_traverse)
+    graph = KroneckerGraph(ORDER_SCALE, 16, seed=42)
+    a, b = Graph500(None, None, 0, Graph500Config(
+        scale=ORDER_SCALE, edgefactor=16, num_bfs_roots=2, seed=42,
+    ), graph=graph).pick_roots()
+    assert a != b
+    roots = [a, b, a, a]
+    bases = []
+    for wss_of_dram, expanded in ((0.6, [(a, 0), (b, 1), (a, 1)]),
+                                  (3.0, [])):
+        expansions.clear()
+        base, runs, log = logged_bfs_runs(
+            backend, wss_of_dram, graph, roots, fresh=False
+        )
+        assert expansions == expanded
+        fresh_base, fresh_runs, fresh_log = logged_bfs_runs(
+            backend, wss_of_dram, KroneckerGraph(ORDER_SCALE, 16, seed=42),
+            roots, fresh=True,
+        )
+        assert base == fresh_base
+        assert runs == fresh_runs
+        assert log == fresh_log
+        bases.append(base)
+    assert len(graph.traces) == 3
+    assert bases[0] != bases[1]
+
+
+def test_a_new_chunk_bound_cuts_new_chunks(monkeypatch):
+    """A BFS under another ``_CHUNK_EDGES`` than the graph's trace of
+    its root was recorded with expands afresh, into the new bound's
+    chunks; back under the first bound it replays the first trace."""
+    bench = small_bench()
+    graph = bench.graph
+    root = bench.pick_roots()[0]
+    edges, parent, levels, pages, writes = per_vertex_bfs(bench, root, 0)
+    default = graph500_module._CHUNK_EDGES
+    cuts = {}
+    for bound in (default, 7, default):
+        monkeypatch.setattr(graph500_module, "_CHUNK_EDGES", bound)
+        got_edges, got_parent, driver = list_bfs(bench, root, 0)
+        assert (got_edges, got_parent.tolist()) == (edges, parent)
+        assert (driver.pages, driver.writes) == (pages, writes)
+        cuts[bound] = [
+            length for frontier, lengths in levels
+            for length in chunk_lengths(graph, frontier, lengths, bound)
+        ]
+        assert driver.chunks == cuts[bound]
+    assert cuts[7] != cuts[default]
+    assert len(graph.traces) == 2
+
+
+def test_an_abandoned_bfs_stores_nothing():
+    """A BFS closed while it waits on an access, or one whose driver
+    raises, leaves no trace on its graph; one that completes does."""
+
+    class Pausing(ListDriver):
+        """Retires the first two chunks, then waits on the next access."""
+
+        def try_hits(self, vaddrs, writes, start=0):
+            if len(self.chunks) < 2:
+                return super().try_hits(vaddrs, writes, start)
+            return start
+
+        def access(self, vaddr, is_write=False):
+            if len(self.chunks) == 2:
+                yield "waiting"
+            yield from super().access(vaddr, is_write)
+
+    class Failing(ListDriver):
+        """Raises on the third chunk."""
+
+        def try_hits(self, vaddrs, writes, start=0):
+            if len(self.chunks) == 2:
+                raise RuntimeError("driver failed")
+            return super().try_hits(vaddrs, writes, start)
+
+    bench = small_bench()
+    graph = bench.graph
+    root = bench.pick_roots()[0]
+    run = bench.bfs(root, Pausing(), 0)
+    assert next(run) == "waiting"
+    run.close()
+    assert graph.traces == {}
+    with pytest.raises(RuntimeError, match="driver failed"):
+        list_bfs(bench, root, 0, Failing())
+    assert graph.traces == {}
+    _edges, _parent, driver = list_bfs(bench, root, 0)
+    assert len(driver.chunks) > 2
+    assert len(graph.traces) == 1
+
+
+def test_each_bfs_returns_its_own_parent_array():
+    """Writing to the parent array a BFS returned changes no later BFS
+    of that root, recorded or replayed, and the kept arrays are
+    read-only."""
+    bench = small_bench()
+    graph = bench.graph
+    root = bench.pick_roots()[0]
+    edges, parent, _levels, pages, writes = per_vertex_bfs(bench, root, 0)
+    for _ in range(3):
+        got_edges, got_parent, driver = list_bfs(bench, root, 0)
+        assert (got_edges, got_parent.tolist()) == (edges, parent)
+        assert (driver.pages, driver.writes) == (pages, writes)
+        got_parent[:] = 7
+    (trace,) = graph.traces.values()
+    assert not trace.parent.flags.writeable
+    assert not any(array.flags.writeable
+                   for chunk in trace.chunks for array in chunk)
+
+
+def test_a_full_graph_keeps_no_more_traces():
+    """A graph keeps traces only while their bytes stay within its CSR
+    arrays' bytes.  A BFS past that hands the driver the same chunks
+    and returns the same results as ever, and keeps nothing; the kept
+    traces still replay."""
+    bench = small_bench()
+    graph = bench.graph
+    room = graph.xadj.nbytes + graph.adjacency.nbytes
+    roots = bench.pick_roots()
+    assert len(set(roots)) == len(roots)
+    kept = []
+    for _pass in range(2):
+        for root in roots:
+            edges, parent, _levels, pages, writes = per_vertex_bfs(
+                bench, root, 0
+            )
+            got_edges, got_parent, driver = list_bfs(bench, root, 0)
+            assert (got_edges, got_parent.tolist()) == (edges, parent)
+            assert (driver.pages, driver.writes) == (pages, writes)
+            kept.append(len(graph.traces))
+            assert graph.trace_room() == room - sum(
+                trace.nbytes for trace in graph.traces.values()
+            ) >= 0
+    assert 1 < kept[-1] < len(roots)
+    assert kept[len(roots):] == [kept[-1]] * len(roots)
+
+
+def test_dropping_the_graph_frees_its_traces():
+    """A graph's traces live and die with it: nothing else holds them."""
+    bench = small_bench()
+    list_bfs(bench, bench.pick_roots()[0], 0)
+    graph = bench.graph
+    (trace,) = graph.traces.values()
+    refs = [weakref.ref(graph), weakref.ref(trace.parent),
+            weakref.ref(trace.chunks[0][0])]
+    del bench, graph, trace
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
